@@ -3,8 +3,9 @@
 Each differentiable operation returns a :class:`Var` node that remembers its
 parents and a vector-Jacobian-product closure. :func:`backward` walks the
 recorded graph once, in reverse topological order, accumulating gradients
-into the leaves. The contract is gradient correctness (checked against
-central finite differences), not any particular taping style.
+into the leaves and freeing each interior node's tape as soon as its VJP has
+run. The contract is gradient correctness (checked against central finite
+differences), not any particular taping style.
 
 Gradient recording can be suspended with :func:`no_grad`, e.g. for teacher
 forwards and validation passes.
@@ -90,7 +91,14 @@ def record(value: np.ndarray, parents: tuple, vjp) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Accumulate gradients of a scalar root into every reachable leaf."""
+    """Accumulate gradients of a scalar root into every reachable leaf.
+
+    The pass consumes the graph. Once an interior node's VJP has run, the
+    node drops its closure, its parents and its gradient, so the arrays the
+    closures hold are freed while the pass runs rather than when the caller
+    lets go of the root. Leaves keep their ``grad``. A new backward needs a
+    new forward.
+    """
     if root.value.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
 
@@ -112,11 +120,15 @@ def backward(root: Var) -> None:
                 stack.append((parent, False))
 
     root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node._vjp is None or node.grad is None:
+    while order:
+        node = order.pop()
+        vjp, parents, grad = node._vjp, node._parents, node.grad
+        if vjp is None:
             continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
+        node._vjp, node._parents, node.grad = None, (), None
+        if grad is None:
+            continue
+        for parent, g in zip(parents, vjp(grad)):
             if g is None:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g

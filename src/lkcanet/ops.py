@@ -3,8 +3,23 @@ pixel shuffle, channel attention, and a finite-difference gradient checker.
 
 Tensors follow the (N, C, H, W) layout. Convolutions are stride-1
 cross-correlations with "same" zero padding; dilation and channel groups are
-supported, odd kernels only. Every primitive carries an analytic backward
-that the checker validates against central finite differences.
+supported, odd kernels only. Each conv kind has one implementation, chosen
+from the call shapes:
+
+- 1x1, dense or grouped: one batched matmul on the input itself, whose
+  backward reshapes instead of scattering;
+- depthwise (groups == in == out channels) with k > 1: the forward is an
+  im2col matmul whose buffer is dropped at once, and the backward is direct
+  shift-and-accumulate over the taps that overlap the image, keeping only
+  the input and the weights;
+- every other conv (dense and grouped 3x3, depth multipliers): a matmul on
+  an im2col buffer, which its backward keeps.
+
+im2col copies each tap's overlap with the image and never builds a padded
+copy; taps that lie wholly in the zero padding are skipped.
+
+Every primitive carries an analytic backward that the checker validates
+against central finite differences.
 
 Reductions use numpy's deterministic summation order, so repeated runs on
 the same machine are bit-identical.
@@ -68,7 +83,7 @@ def project_scalar(a: Var, weights: np.ndarray) -> Var:
 def _conv_geometry(x_shape, w_shape, dilation: int, groups: int):
     if len(x_shape) != 4 or len(w_shape) != 4:
         raise ValueError("conv2d expects x:(N,C,H,W) and weight:(Cout,Cin/g,k,k)")
-    n, cin, h, w = x_shape
+    cin = x_shape[1]
     cout, cin_g, kh, kw = w_shape
     if kh != kw:
         raise ValueError(f"conv2d kernels must be square, got {kh}x{kw}")
@@ -82,67 +97,138 @@ def _conv_geometry(x_shape, w_shape, dilation: int, groups: int):
         raise ValueError(
             f"weight expects {cin_g} channels per group but input provides {cin // groups}"
         )
-    pad = (kh - 1) * dilation // 2
-    return n, cin, h, w, cout, cin_g, kh, pad
+    return cin, cout, kh
 
 
-def _im2col(x: np.ndarray, k: int, dilation: int, groups: int, pad: int) -> np.ndarray:
-    """Gather conv taps: (N, C, H, W) -> (N, g, (C/g)*k*k, H*W)."""
+def _overlap(offset: int, size: int):
+    """(output slice, input slice) along one axis for a tap reading at
+    ``offset`` from each output position, or None if it reads only padding."""
+    if abs(offset) >= size:
+        return None
+    return slice(max(0, -offset), size - max(0, offset)), slice(max(0, offset), size + min(0, offset))
+
+
+def _taps(k: int, dilation: int, h: int, w: int) -> list:
+    """Kernel taps that overlap an (H, W) map under "same" zero padding.
+
+    Each entry is ``(i, j, dst, src)``: tap (i, j) adds input window ``src``
+    into output window ``dst`` (index tuples over the last two axes). Taps
+    that lie wholly in the padding are left out.
+    """
+    pad = (k - 1) * dilation // 2
+    rows = [_overlap(i * dilation - pad, h) for i in range(k)]
+    cols = [_overlap(j * dilation - pad, w) for j in range(k)]
+    return [
+        (i, j, (Ellipsis, r[0], c[0]), (Ellipsis, r[1], c[1]))
+        for i, r in enumerate(rows) if r is not None
+        for j, c in enumerate(cols) if c is not None
+    ]
+
+
+def _im2col(x: np.ndarray, k: int, dilation: int, groups: int) -> np.ndarray:
+    """Gather conv taps: (N, C, H, W) -> (N, g, (C/g)*k*k, H*W).
+
+    Each tap copies only the window where it overlaps the image; the rest of
+    the buffer is the zero padding.
+    """
     n, cin, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, groups, cin // groups, k, k, h, w), dtype=x.dtype)
-    xg = xp.reshape(n, groups, cin // groups, h + 2 * pad, w + 2 * pad)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, :, i, j] = xg[
-                :, :, :, i * dilation : i * dilation + h, j * dilation : j * dilation + w
-            ]
+    cols = np.zeros((n, cin, k, k, h, w), dtype=x.dtype)
+    for i, j, dst, src in _taps(k, dilation, h, w):
+        cols[:, :, i, j][dst] = x[src]
     return cols.reshape(n, groups, (cin // groups) * k * k, h * w)
 
 
-def _col2im(cols: np.ndarray, x_shape, k: int, dilation: int, groups: int, pad: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, x_shape, k: int, dilation: int) -> np.ndarray:
     """Scatter-add the transpose of :func:`_im2col`."""
     n, cin, h, w = x_shape
-    xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    xg = xp.reshape(n, groups, cin // groups, h + 2 * pad, w + 2 * pad)
-    cols6 = cols.reshape(n, groups, cin // groups, k, k, h, w)
-    for i in range(k):
-        for j in range(k):
-            xg[:, :, :, i * dilation : i * dilation + h, j * dilation : j * dilation + w] += cols6[
-                :, :, :, i, j
-            ]
-    if pad == 0:
-        return xp
-    return xp[:, :, pad : pad + h, pad : pad + w]
+    cols6 = cols.reshape(n, cin, k, k, h, w)
+    x = np.zeros(x_shape, dtype=cols.dtype)
+    for i, j, dst, src in _taps(k, dilation, h, w):
+        x[src] += cols6[:, :, i, j][dst]
+    return x
 
 
-def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, groups: int = 1) -> Var:
-    """Stride-1 "same" cross-correlation with dilation and channel groups."""
-    x, weight = as_var(x), as_var(weight)
-    n, cin, h, w, cout, cin_g, k, pad = _conv_geometry(x.shape, weight.shape, dilation, groups)
-    if bias is not None:
-        bias = as_var(bias)
-        if bias.shape != (cout,):
-            raise ValueError(f"bias shape {bias.shape} != ({cout},)")
+def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int):
+    """Dense and grouped convs as one batched matmul per group.
 
-    cols = _im2col(x.value, k, dilation, groups, pad)  # (n, g, cg*k*k, h*w)
-    wmat = weight.value.reshape(groups, cout // groups, cin_g * k * k)
+    A 1x1 conv multiplies the input itself, reshaped; larger kernels go
+    through the im2col buffer, which the VJP keeps. Returns (out, vjp)
+    where ``vjp(g)`` gives (gx, gw).
+    """
+    n, cin, h, w = xv.shape
+    cout, _, k, _ = wv.shape
+    if k == 1:
+        cols = xv.reshape(n, groups, cin // groups, h * w)
+    else:
+        cols = _im2col(xv, k, dilation, groups)  # (n, g, cg*k*k, h*w)
+    wmat = wv.reshape(groups, cout // groups, -1)
     out = np.matmul(wmat, cols).reshape(n, cout, h, w)
-    if bias is not None:
-        out = out + bias.value[:, None, None]
-
-    xv, wv = x.value, weight.value
 
     def vjp(g):
         go = g.reshape(n, groups, cout // groups, h * w)
         gw = np.matmul(go, cols.swapaxes(-1, -2)).sum(axis=0).reshape(wv.shape)
         gcols = np.matmul(wmat.swapaxes(-1, -2), go)
-        gx = _col2im(gcols, xv.shape, k, dilation, groups, pad)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        if k == 1:
+            return gcols.reshape(xv.shape), gw
+        return _col2im(gcols, xv.shape, k, dilation), gw
 
-    parents = (x, weight, bias) if bias is not None else (x, weight)
-    return record(out, parents, vjp)
+    return out, vjp
+
+
+def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int):
+    """Depthwise conv, one k x k filter per channel.
+
+    The forward is that of :func:`_matmul_conv`; its VJP and im2col buffer
+    are dropped on return. It stays a matmul, not shift-and-accumulate,
+    because training amplifies any change in its rounding: Adam's first
+    step follows the sign of each gradient element. The VJP is direct
+    shift-and-accumulate over the taps that overlap the image and keeps
+    only the input and the weights. Returns (out, vjp) where ``vjp(g)``
+    gives (gx, gw).
+    """
+    n, c, h, w = xv.shape
+    k = wv.shape[-1]
+    w2 = wv.reshape(c, k, k)
+    out, _ = _matmul_conv(xv, wv, dilation, c)
+    taps = _taps(k, dilation, h, w)
+
+    def vjp(g):
+        gx = np.zeros(xv.shape, dtype=np.result_type(g, wv))
+        gw = np.zeros(w2.shape, dtype=np.result_type(g, xv))
+        for i, j, dst, src in taps:
+            go = g[dst]
+            gx[src] += w2[:, i, j, None, None] * go
+            gw[:, i, j] = np.einsum("nchw,nchw->c", go, xv[src])
+        return gx, gw.reshape(wv.shape)
+
+    return out, vjp
+
+
+def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, groups: int = 1) -> Var:
+    """Stride-1 "same" cross-correlation with dilation and channel groups.
+
+    See the module docstring for which implementation each conv kind takes.
+    """
+    x, weight = as_var(x), as_var(weight)
+    cin, cout, k = _conv_geometry(x.shape, weight.shape, dilation, groups)
+    if bias is not None:
+        bias = as_var(bias)
+        if bias.shape != (cout,):
+            raise ValueError(f"bias shape {bias.shape} != ({cout},)")
+
+    if groups == cin == cout and k > 1:
+        out, conv_vjp = _depthwise_conv(x.value, weight.value, dilation)
+    else:
+        out, conv_vjp = _matmul_conv(x.value, weight.value, dilation, groups)
+    if bias is None:
+        return record(out, (x, weight), conv_vjp)
+    out = out + bias.value[:, None, None]
+
+    def vjp(g):
+        gx, gw = conv_vjp(g)
+        return gx, gw, g.sum(axis=(0, 2, 3))
+
+    return record(out, (x, weight, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

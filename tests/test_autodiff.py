@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from lkcanet import ops
 from lkcanet.autodiff import Var, backward, no_grad, record
 from lkcanet.ops import add, mul, scale
 
@@ -47,3 +50,29 @@ class TestGraph:
         backward(scale(x, 2.0))
         assert x.grad is not None
         assert unused.grad is None
+
+    def test_backward_releases_the_graph(self, monkeypatch):
+        # The im2col buffer of a 3x3 conv is held only by the conv's VJP
+        # closure, so it must die once backward has run that VJP.
+        buffers = []
+        im2col = ops._im2col
+
+        def spy(*args):
+            cols = im2col(*args)
+            buffers.append(weakref.ref(cols))
+            return cols
+
+        monkeypatch.setattr(ops, "_im2col", spy)
+        rng = np.random.default_rng(0)
+        x = Var(rng.standard_normal((1, 2, 4, 4)))
+        w = Var(rng.standard_normal((3, 2, 3, 3)))
+        out = ops.conv2d(x, w)
+        loss = ops.project_scalar(out, np.ones_like(out.value))
+        assert buffers[0]() is not None
+        backward(loss)
+        for node in (out, loss):
+            assert node._parents == ()
+            assert node._vjp is None
+            assert node.grad is None
+        assert buffers[0]() is None
+        assert x.grad is not None and w.grad is not None

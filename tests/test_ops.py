@@ -32,6 +32,22 @@ def naive_conv2d(x, w, b, dilation, groups):
     return out
 
 
+# Conv cases shared by the oracle and gradient tests, one per implementation
+# path: (x shape, weight shape, with bias, dilation, groups).
+CONV_CASES = {
+    "grouped3x3-d2": ((2, 4, 6, 6), (6, 2, 3, 3), True, 2, 2),
+    # Taps wholly (rows at offset +-6) and partly in the padding.
+    "depthwise-k7-d2-5x7": ((2, 3, 5, 7), (3, 1, 7, 7), True, 2, 3),
+    "depthwise-k7-d2-5x7-nobias": ((2, 3, 5, 7), (3, 1, 7, 7), False, 2, 3),
+    "depthwise-k5-d5-16x16": ((2, 4, 16, 16), (4, 1, 5, 5), True, 5, 4),
+    "dense1x1": ((2, 4, 6, 6), (5, 4, 1, 1), True, 1, 1),
+    "grouped1x1-fuse": ((2, 12, 6, 6), (4, 3, 1, 1), True, 1, 4),
+    # groups == in channels with a depth multiplier of 2 stays on im2col.
+    "depth-multiplier": ((2, 3, 6, 6), (6, 1, 3, 3), True, 2, 3),
+}
+GRAD_CASES = {"depthwise-k5-d3": ((1, 3, 6, 6), (3, 1, 5, 5), True, 3, 3), **CONV_CASES}
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         x = Var(np.random.default_rng(0).standard_normal((2, 3, 4, 4)))
@@ -46,14 +62,20 @@ class TestConv2d:
         out = ops.conv2d(x, Var(w), groups=4)
         assert np.allclose(out.value, x.value)
 
-    def test_against_naive_loop_oracle(self):
+    @pytest.mark.parametrize("case", list(CONV_CASES), ids=list(CONV_CASES))
+    def test_against_naive_loop_oracle(self, case):
         # Image-scale single-precision data; the reference runs in float64.
+        x_shape, w_shape, with_bias, dilation, groups = CONV_CASES[case]
         rng = np.random.default_rng(2)
-        x = rng.random((2, 4, 6, 6), dtype=np.float32)
-        w = rng.random((6, 2, 3, 3), dtype=np.float32) - 0.5
-        b = rng.random(6, dtype=np.float32) - 0.5
-        out = ops.conv2d(Var(x), Var(w), Var(b), dilation=2, groups=2)
-        ref = naive_conv2d(x.astype(np.float64), w.astype(np.float64), b.astype(np.float64), 2, 2)
+        x = rng.random(x_shape, dtype=np.float32)
+        w = rng.random(w_shape, dtype=np.float32) - 0.5
+        b = rng.random(w_shape[0], dtype=np.float32) - 0.5 if with_bias else None
+        out = ops.conv2d(Var(x), Var(w), None if b is None else Var(b), dilation=dilation, groups=groups)
+        ref = naive_conv2d(
+            x.astype(np.float64), w.astype(np.float64),
+            None if b is None else b.astype(np.float64), dilation, groups,
+        )
+        assert out.value.dtype == np.float32
         assert np.abs(out.value - ref).max() <= 1e-6
 
     def test_even_kernel_rejected(self):
@@ -76,12 +98,17 @@ class TestConv2d:
         )
         assert report.passed, report.summary()
 
-    def test_gradients_dilated_depthwise(self):
+    @pytest.mark.parametrize("case", list(GRAD_CASES), ids=list(GRAD_CASES))
+    def test_gradients_dilated_depthwise(self, case):
+        x_shape, w_shape, with_bias, dilation, groups = GRAD_CASES[case]
         rng = np.random.default_rng(4)
+        inputs = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
+        if with_bias:
+            inputs.append(rng.standard_normal(w_shape[0]))
         report = ops.grad_check(
-            lambda x, w, b: ops.conv2d(x, w, b, dilation=3, groups=3),
-            [rng.standard_normal((1, 3, 6, 6)), rng.standard_normal((3, 1, 5, 5)), rng.standard_normal(3)],
-            op_name="conv2d(depthwise,d=3)",
+            lambda x, w, b=None: ops.conv2d(x, w, b, dilation=dilation, groups=groups),
+            inputs,
+            op_name=f"conv2d({case})",
         )
         assert report.passed, report.summary()
 
