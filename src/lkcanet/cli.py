@@ -4,9 +4,7 @@ reproducible workflows.
 
 Exit codes: 0 ok, 2 usage, 3 validation, 4 numeric failure. Every
 artifact-producing command writes a run manifest (command, resolved
-configuration, seeds, paths, version, timestamp) next to its outputs; with
-``--deterministic`` re-running a command on identical inputs reproduces its
-outputs byte-identically (timestamps live only in manifests).
+configuration, seeds, paths, version, timestamp) next to its outputs.
 """
 
 from __future__ import annotations
@@ -22,13 +20,11 @@ import numpy as np
 from . import __version__, hsi
 from .hsi import (
     CubeError,
-    HsiCube,
-    PatchPair,
     PatchSpec,
     build_split,
     custom_protocol,
-    degrade_array,
     named_protocol,
+    patch_pairs,
     read_cube,
     write_cube,
 )
@@ -196,20 +192,11 @@ def load_split(split_dir) -> "hsi.Split":
     if manifest.get("crop_shape"):
         ch, cw = manifest["crop_shape"]
         cube = hsi.central_crop(cube, ch, cw)
-    size = manifest["patch_size"]
-    r = manifest["scale_factor"]
-
-    def materialize(origins):
-        pairs = []
-        for r0, c0 in origins:
-            hr = cube.data[:, r0 : r0 + size, c0 : c0 + size].copy()
-            pairs.append(PatchPair(hr=hr, lr=degrade_array(hr, r), origin=(r0, c0)))
-        return pairs
-
+    spec = PatchSpec(manifest["patch_size"], manifest["overlap"], manifest["scale_factor"])
     test = [read_cube(split_dir / name) for name in manifest["test_files"]]
     return hsi.Split(
-        train=materialize(manifest["train_origins"]),
-        val=materialize(manifest["val_origins"]),
+        train=patch_pairs(cube, manifest["train_origins"], spec),
+        val=patch_pairs(cube, manifest["val_origins"], spec),
         test=test,
         manifest=manifest,
     )
@@ -297,10 +284,34 @@ def _cmd_prepare(ns) -> int:
     return 0
 
 
-def _write_log(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+def _finish_fit(ns, command: str, resolved: dict, result, metadata: dict, inputs: list) -> int:
+    """Save what a train or distill run produced: checkpoint, log, manifest.
+
+    A diverged run keeps its last finite state, is reported on stderr and
+    exits 4.
+    """
+    if result.diverged:
+        print(f"warning: {command} diverged ({result.diverged}); "
+              "checkpoint holds the last finite state", file=sys.stderr)
+    metadata = {
+        "epochs": resolved["epochs"],
+        "seed": ns.seed,
+        **metadata,
+        "best_epoch": result.best_epoch,
+        "best_val_mpsnr": result.best_val_mpsnr,
+    }
+    save_checkpoint(result.model, ns.out, metadata)
+    outputs = [ns.out]
+    if ns.log:
+        with open(ns.log, "w", encoding="utf-8") as fh:
+            for entry in result.history:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        outputs.append(ns.log)
+    resolved["seed"] = ns.seed
+    _write_manifest(Path(str(ns.out) + ".manifest.json"), command, resolved, inputs, outputs)
+    tail = result.history[-1] if result.history else {}
+    print(f"{command}: {resolved['epochs']} epochs -> {ns.out} (last: {json.dumps(tail, sort_keys=True)})")
+    return 4 if result.diverged else 0
 
 
 def _cmd_train(ns) -> int:
@@ -312,25 +323,8 @@ def _cmd_train(ns) -> int:
     config = _model_config(resolved, bands, scale)
     model = LkcaNet(config, seed=ns.seed)
     result = train(model, split, _train_config(resolved, ns.seed))
-    if result.diverged:
-        print("warning: training diverged; checkpoint holds the last finite state", file=sys.stderr)
-    metadata = {
-        "epochs": resolved["epochs"],
-        "seed": ns.seed,
-        "loss_weights": vars(LossWeights()),
-        "best_epoch": result.best_epoch,
-        "best_val_mpsnr": result.best_val_mpsnr,
-    }
-    save_checkpoint(result.model, ns.out, metadata)
-    outputs = [ns.out]
-    if ns.log:
-        _write_log(ns.log, result.history)
-        outputs.append(ns.log)
-    resolved["seed"] = ns.seed
-    _write_manifest(Path(str(ns.out) + ".manifest.json"), "train", resolved, [ns.split], outputs)
-    tail = result.history[-1] if result.history else {}
-    print(f"trained {resolved['epochs']} epochs -> {ns.out} (last: {json.dumps(tail, sort_keys=True)})")
-    return 4 if result.diverged else 0
+    metadata = {"loss_weights": vars(LossWeights())}
+    return _finish_fit(ns, "train", resolved, result, metadata, [ns.split])
 
 
 def _cmd_distill(ns) -> int:
@@ -363,30 +357,13 @@ def _cmd_distill(ns) -> int:
     student = LkcaNet(config, seed=ns.seed)
     dcfg = _distill_config(resolved)
     result = distill(teacher, student, split, _train_config(resolved, ns.seed), dcfg)
-    if result.diverged:
-        print("warning: distillation diverged; checkpoint holds the last finite state", file=sys.stderr)
     metadata = {
-        "epochs": resolved["epochs"],
-        "seed": ns.seed,
         "teacher": str(ns.teacher),
         "loss_weights": vars(dcfg.weights),
         "decay": vars(dcfg.decay),
         "kd_target": dcfg.kd_target,
-        "best_epoch": result.best_epoch,
-        "best_val_mpsnr": result.best_val_mpsnr,
     }
-    save_checkpoint(result.model, ns.out, metadata)
-    outputs = [ns.out]
-    if ns.log:
-        _write_log(ns.log, result.history)
-        outputs.append(ns.log)
-    resolved["seed"] = ns.seed
-    _write_manifest(
-        Path(str(ns.out) + ".manifest.json"), "distill", resolved, [ns.split, ns.teacher], outputs
-    )
-    tail = result.history[-1] if result.history else {}
-    print(f"distilled {resolved['epochs']} epochs -> {ns.out} (last: {json.dumps(tail, sort_keys=True)})")
-    return 4 if result.diverged else 0
+    return _finish_fit(ns, "distill", resolved, result, metadata, [ns.split, ns.teacher])
 
 
 def _cmd_analyze_rank(ns) -> int:
@@ -486,8 +463,7 @@ def _cmd_eval(ns) -> int:
 def _cmd_bench(ns) -> int:
     file_cfg = _load_config_file(ns.config)
     resolved = _resolve(ns, MODEL_DEFAULTS, file_cfg)
-    bands = getattr(ns, "bands", None) if getattr(ns, "bands", None) is not None else file_cfg.get("bands")
-    scale = getattr(ns, "scale", None) if getattr(ns, "scale", None) is not None else file_cfg.get("scale")
+    bands, scale = _resolve(ns, {"bands": None, "scale": None}, file_cfg).values()
     if bands is None or scale is None:
         raise ValueError("bench needs --bands and --scale (or a --config providing them)")
     config = _model_config(resolved, bands, scale)
@@ -536,11 +512,8 @@ def _cmd_bench(ns) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed for every stochastic step")
-    p.add_argument("--deterministic", action="store_true",
-                   help="force single-worker reductions (runs are bit-reproducible)")
     p.add_argument("--config", default=None, help="JSON config file (flags override it)")
     p.add_argument("--json", action="store_true", help="machine-readable output/errors")
-    p.add_argument("--threads", type=int, default=1, help="worker parallelism cap")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

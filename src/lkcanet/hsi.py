@@ -12,6 +12,7 @@ read round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -133,41 +134,41 @@ def write_cube(cube: HsiCube, path) -> None:
 
 
 def read_cube(path) -> HsiCube:
+    """Read an ``.hsc`` cube; the payload is read straight into its array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CubeFormatError(f"{path}: not an HSC cube (bad magic)")
-    off = len(MAGIC)
-    if len(blob) < off + 4:
-        raise CubeTruncatedError(f"{path}: truncated before header length")
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if len(blob) < off + hlen:
-        raise CubeTruncatedError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[off : off + hlen].decode("utf-8"))
-        bands, height, width = int(header["bands"]), int(header["height"]), int(header["width"])
-        meta = header.get("meta", {})
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise CubeFormatError(f"{path}: unparseable header ({exc})") from exc
-    off += hlen
-    if min(bands, height, width) < 1:
-        raise CubeValidationError(f"{path}: header declares extents <= 0: {bands}x{height}x{width}")
-    nbytes = bands * height * width * 4
-    if nbytes > _MAX_PAYLOAD:
-        raise CubeValidationError(
-            f"{path}: declared extents {bands}x{height}x{width} overflow the payload cap"
-        )
-    if len(blob) - off < nbytes:
-        raise CubeTruncatedError(
-            f"{path}: truncated payload (expected {nbytes} bytes, found {len(blob) - off})"
-        )
-    if len(blob) - off > nbytes:
-        raise CubeTruncatedError(
-            f"{path}: trailing bytes after payload (expected {nbytes}, found {len(blob) - off})"
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=bands * height * width, offset=off)
-    return HsiCube(data.reshape(bands, height, width).copy(), meta)
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise CubeFormatError(f"{path}: not an HSC cube (bad magic)")
+        size = os.fstat(fh.fileno()).st_size
+        raw_len = fh.read(4)
+        if len(raw_len) < 4:
+            raise CubeTruncatedError(f"{path}: truncated before header length")
+        (hlen,) = struct.unpack("<I", raw_len)
+        if size < fh.tell() + hlen:
+            raise CubeTruncatedError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            bands, height, width = int(header["bands"]), int(header["height"]), int(header["width"])
+            meta = header.get("meta", {})
+        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            raise CubeFormatError(f"{path}: unparseable header ({exc})") from exc
+        if min(bands, height, width) < 1:
+            raise CubeValidationError(f"{path}: header declares extents <= 0: {bands}x{height}x{width}")
+        nbytes = bands * height * width * 4
+        if nbytes > _MAX_PAYLOAD:
+            raise CubeValidationError(
+                f"{path}: declared extents {bands}x{height}x{width} overflow the payload cap"
+            )
+        found = size - fh.tell()
+        if found < nbytes:
+            raise CubeTruncatedError(
+                f"{path}: truncated payload (expected {nbytes} bytes, found {found})"
+            )
+        if found > nbytes:
+            raise CubeTruncatedError(
+                f"{path}: trailing bytes after payload (expected {nbytes}, found {found})"
+            )
+        data = np.fromfile(fh, dtype="<f4", count=bands * height * width)
+    return HsiCube(data.reshape(bands, height, width), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +232,18 @@ def bicubic_resize(cube: HsiCube, out_h: int, out_w: int) -> HsiCube:
 
 
 def degrade(cube: HsiCube, r: int) -> HsiCube:
-    """Bicubic downsampling by an integral factor r (extents must divide)."""
-    if r < 1:
-        raise ValueError(f"scale factor must be >= 1, got {r}")
-    if cube.height % r or cube.width % r:
-        raise CubeValidationError(
-            f"extents {cube.height}x{cube.width} not divisible by scale factor {r}"
-        )
-    return bicubic_resize(cube, cube.height // r, cube.width // r)
+    """Bicubic downsampling of a cube by an integral factor r."""
+    return HsiCube(degrade_array(cube.data, r), dict(cube.meta))
 
 
 def degrade_array(hr: np.ndarray, r: int) -> np.ndarray:
-    """Array variant of :func:`degrade` for (.., H, W) patch stacks."""
+    """Bicubic downsampling of the trailing (H, W) axes by an integral factor
+    r; both extents must divide by r."""
+    if r < 1:
+        raise ValueError(f"scale factor must be >= 1, got {r}")
     h, w = hr.shape[-2], hr.shape[-1]
     if h % r or w % r:
-        raise ValueError(f"extents {h}x{w} not divisible by scale factor {r}")
+        raise CubeValidationError(f"extents {h}x{w} not divisible by scale factor {r}")
     return resize_bands(hr, h // r, w // r)
 
 
@@ -294,17 +292,30 @@ def patch_origins(extent: int, patch_size: int, stride: int) -> list[int]:
     return [i * stride for i in range(n)]
 
 
+def grid_origins(height: int, width: int, spec: PatchSpec) -> list[tuple[int, int]]:
+    """Row-major (row, col) origins of every HR patch of a height x width grid."""
+    rows = patch_origins(height, spec.patch_size, spec.stride)
+    cols = patch_origins(width, spec.patch_size, spec.stride)
+    return [(r0, c0) for r0 in rows for c0 in cols]
+
+
+def patch_pairs(cube: HsiCube, origins, spec: PatchSpec) -> list[PatchPair]:
+    """The HR patches of a cube at the given origins, each with its LR pair."""
+    s = spec.patch_size
+    out = []
+    for r0, c0 in origins:
+        if r0 < 0 or c0 < 0 or r0 + s > cube.height or c0 + s > cube.width:
+            raise CubeValidationError(
+                f"patch at {(r0, c0)} exceeds cube extent {cube.height}x{cube.width}"
+            )
+        hr = cube.data[:, r0 : r0 + s, c0 : c0 + s].copy()
+        out.append(PatchPair(hr=hr, lr=degrade_array(hr, spec.scale_factor), origin=(r0, c0)))
+    return out
+
+
 def extract_patches(cube: HsiCube, spec: PatchSpec) -> list[PatchPair]:
     """All HR/LR patch pairs of a cube in deterministic row-major origin order."""
-    rows = patch_origins(cube.height, spec.patch_size, spec.stride)
-    cols = patch_origins(cube.width, spec.patch_size, spec.stride)
-    out = []
-    for r0 in rows:
-        for c0 in cols:
-            hr = cube.data[:, r0 : r0 + spec.patch_size, c0 : c0 + spec.patch_size].copy()
-            lr = degrade_array(hr, spec.scale_factor)
-            out.append(PatchPair(hr=hr, lr=lr, origin=(r0, c0)))
-    return out
+    return patch_pairs(cube, grid_origins(cube.height, cube.width, spec), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +463,11 @@ def build_split(cube: HsiCube, protocol: SplitProtocol, spec: PatchSpec, seed: i
                     f"test regions {reg.as_tuple()} and {other.as_tuple()} overlap"
                 )
 
-    rows = patch_origins(cube.height, spec.patch_size, spec.stride)
-    cols = patch_origins(cube.width, spec.patch_size, spec.stride)
-    kept_origins = []
-    for r0 in rows:
-        for c0 in cols:
-            candidate = Region(r0, c0, spec.patch_size, spec.patch_size)
-            if not any(candidate.intersects(f) for f in forbidden):
-                kept_origins.append((r0, c0))
+    kept_origins = [
+        (r0, c0)
+        for r0, c0 in grid_origins(cube.height, cube.width, spec)
+        if not any(Region(r0, c0, spec.patch_size, spec.patch_size).intersects(f) for f in forbidden)
+    ]
 
     for r0, c0 in kept_origins:
         patch = Region(r0, c0, spec.patch_size, spec.patch_size)
@@ -473,13 +481,6 @@ def build_split(cube: HsiCube, protocol: SplitProtocol, spec: PatchSpec, seed: i
     n_val = int(len(shuffled) * protocol.validation_fraction)
     val_origins = sorted(shuffled[:n_val])
     train_origins = sorted(shuffled[n_val:])
-
-    def materialize(origins):
-        pairs = []
-        for r0, c0 in origins:
-            hr = cube.data[:, r0 : r0 + spec.patch_size, c0 : c0 + spec.patch_size].copy()
-            pairs.append(PatchPair(hr=hr, lr=degrade_array(hr, spec.scale_factor), origin=(r0, c0)))
-        return pairs
 
     test = [cube.crop(*r.as_tuple()) for r in protocol.test_regions]
     manifest = {
@@ -495,4 +496,9 @@ def build_split(cube: HsiCube, protocol: SplitProtocol, spec: PatchSpec, seed: i
         "train_origins": [list(o) for o in train_origins],
         "val_origins": [list(o) for o in val_origins],
     }
-    return Split(train=materialize(train_origins), val=materialize(val_origins), test=test, manifest=manifest)
+    return Split(
+        train=patch_pairs(cube, train_origins, spec),
+        val=patch_pairs(cube, val_origins, spec),
+        test=test,
+        manifest=manifest,
+    )

@@ -3,8 +3,8 @@ teacher -> student feature-alignment distillation loop.
 
 Plain training is distillation with the alignment term switched off: both
 run the same engine, so an alpha = 0 distillation reproduces training
-bit-exactly under the same seed. Runs are deterministic given (seed, single
-worker); logs are one JSON-compatible dict per epoch with keys
+bit-exactly under the same seed. The same seed on the same machine gives a
+bit-identical run; logs are one JSON-compatible dict per epoch with keys
 {epoch, lr, D, loss_h, loss_kd, val_mpsnr}.
 """
 
@@ -38,7 +38,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     grad_clip: float | None = None
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -149,11 +148,14 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class TrainResult:
+    """``diverged`` names why a run stopped early (a non-finite loss or
+    gradient); the model then holds the last epoch-end state."""
+
     model: LkcaNet
     history: list[dict]
     best_epoch: int | None
     best_val_mpsnr: float | None
-    diverged: bool = False
+    diverged: str | None = None
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
@@ -199,7 +201,7 @@ def _fit(
         order = rng.permutation(n)
         h_vals: list[float] = []
         kd_vals: list[float] = []
-        diverged = False
+        diverged = None
 
         for batch in _batches(n, cfg.batch_size, order):
             xs = np.stack([split.train[i].lr for i in batch])
@@ -220,23 +222,27 @@ def _fit(
             h_vals.append(float(h.value))
 
             if not np.isfinite(loss.value):
-                diverged = True
+                diverged = f"non-finite loss in epoch {epoch}"
                 break
             model.zero_grad()
             backward(loss)
-            adam_step(
-                model.params,
-                state,
-                lr,
-                beta1=cfg.beta1,
-                beta2=cfg.beta2,
-                eps=cfg.eps,
-                grad_clip=cfg.grad_clip,
-            )
+            try:
+                adam_step(
+                    model.params,
+                    state,
+                    lr,
+                    beta1=cfg.beta1,
+                    beta2=cfg.beta2,
+                    eps=cfg.eps,
+                    grad_clip=cfg.grad_clip,
+                )
+            except NonFiniteGradientError as exc:
+                diverged = f"{exc} in epoch {epoch}"
+                break
 
         if diverged:
             model.load_state(last_good)
-            return TrainResult(model, history, best[0], best[1], diverged=True)
+            return TrainResult(model, history, best[0], best[1], diverged=diverged)
 
         val = _validate_mpsnr(model, split.val)
         history.append(

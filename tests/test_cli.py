@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from conftest import smooth_bands
 
 from lkcanet.cli import load_split, main
-from lkcanet.hsi import read_cube
+from lkcanet.hsi import PatchSpec, build_split, custom_protocol, read_cube
 from lkcanet.model import load_checkpoint
 
 
@@ -86,6 +87,18 @@ class TestPrepare:
         for pair in split.train + split.val:
             assert pair.origin[0] >= 16
 
+    def test_loaded_split_matches_built_split(self, workspace):
+        loaded = load_split(workspace / "split")
+        built = build_split(
+            read_cube(workspace / "cube.hsc"), custom_protocol([(0, 0, 16, 32)]),
+            PatchSpec(8, 4, 2), seed=0,
+        )
+        for got, want in [(loaded.train, built.train), (loaded.val, built.val)]:
+            assert [p.origin for p in got] == [p.origin for p in want]
+            for a, b in zip(got, want):
+                assert np.array_equal(a.hr, b.hr)
+                assert np.array_equal(a.lr, b.lr)
+
     def test_prepare_idempotent_outputs(self, workspace, tmp_path):
         out2 = tmp_path / "again"
         assert (
@@ -130,6 +143,36 @@ class TestTrainCli:
         manifest = json.loads((tmp_path / "m.lkca.manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["resolved_config"]["epochs"] == 2
+
+    @pytest.mark.parametrize("flag", [["--deterministic"], ["--threads", "2"]])
+    def test_removed_flags_rejected(self, workspace, tmp_path, flag):
+        out = tmp_path / "m.lkca"
+        assert run("train", "--split", str(workspace / "split"), "--out", str(out), *flag) == 2
+
+    def test_non_finite_gradient_keeps_last_epoch(self, workspace, tmp_path, capsys, monkeypatch):
+        # 19 training patches in batches of 4: step 7 is the second step of epoch 1.
+        train_mod = importlib.import_module("lkcanet.train")
+        adam_step, steps = train_mod.adam_step, []
+
+        def poisoned(params, *args, **kwargs):
+            steps.append(None)
+            if len(steps) == 7:
+                params["head.weight"].grad = np.full_like(params["head.weight"].grad, np.nan)
+            adam_step(params, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "adam_step", poisoned)
+        args = ["train", "--split", str(workspace / "split"), "--batch-size", "4", *TINY_MODEL_FLAGS]
+        diverged, log = tmp_path / "d.lkca", tmp_path / "d.jsonl"
+        assert run(*args, "--out", str(diverged), "--epochs", "2", "--log", str(log)) == 4
+        assert "head.weight" in capsys.readouterr().err
+        assert len(log.read_text().splitlines()) == 1
+        monkeypatch.setattr(train_mod, "adam_step", adam_step)
+        one_epoch = tmp_path / "e.lkca"
+        assert run(*args, "--out", str(one_epoch), "--epochs", "1") == 0
+        a, _ = load_checkpoint(diverged)
+        b, _ = load_checkpoint(one_epoch)
+        for k in a.state_arrays():
+            assert np.array_equal(a.state_arrays()[k], b.state_arrays()[k])
 
     def test_config_file_flag_precedence(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -15,10 +15,12 @@ from lkcanet.hsi import (
     chikusei_protocol,
     custom_protocol,
     degrade,
+    degrade_array,
     extract_patches,
     houston2018_protocol,
     normalize,
     patch_origins,
+    patch_pairs,
     pavia_protocol,
     read_cube,
     resize_bands,
@@ -58,6 +60,43 @@ class TestCubeFormat:
         p.write_bytes(blob[: len(blob) - 4 * 4 * 4])
         with pytest.raises(CubeTruncatedError):
             read_cube(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "x.hsc"
+        write_cube(random_cube(2, 4, 4), p)
+        p.write_bytes(p.read_bytes() + b"\x00" * 4)
+        with pytest.raises(CubeTruncatedError, match="trailing bytes"):
+            read_cube(p)
+
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "x.hsc"
+        write_cube(random_cube(2, 4, 4), p)
+        p.write_bytes(p.read_bytes()[:20])  # magic, length and 8 header bytes
+        with pytest.raises(CubeTruncatedError, match="truncated header"):
+            read_cube(p)
+
+    def test_truncated_before_header_length(self, tmp_path):
+        p = tmp_path / "x.hsc"
+        p.write_bytes(b"HSCUBE01" + b"\x10\x00")
+        with pytest.raises(CubeTruncatedError, match="before header length"):
+            read_cube(p)
+
+    def test_read_holds_no_second_copy(self, tmp_path):
+        import tracemalloc
+
+        p = tmp_path / "x.hsc"
+        cube = random_cube(8, 128, 128)
+        write_cube(cube, p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            again = read_cube(p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.data, cube.data)
+        # The array itself plus the validity mask of HsiCube.validate.
+        assert peak <= 1.3 * cube.data.nbytes
 
     def test_nan_sample_rejected(self, tmp_path):
         p = tmp_path / "x.hsc"
@@ -150,6 +189,14 @@ class TestDegrade:
         with pytest.raises(CubeValidationError):
             degrade(random_cube(1, 10, 10), 4)
 
+    def test_array_checks_match_cube_checks(self):
+        with pytest.raises(CubeValidationError):
+            degrade_array(np.zeros((1, 10, 10), dtype=np.float32), 4)
+        with pytest.raises(ValueError):
+            degrade_array(np.zeros((1, 8, 8), dtype=np.float32), 0)
+        cube = random_cube(2, 8, 8)
+        assert np.array_equal(degrade(cube, 2).data, degrade_array(cube.data, 2))
+
     def test_constant(self):
         cube = HsiCube(np.full((1, 8, 8), 0.25, dtype=np.float32))
         assert np.abs(degrade(cube, 2).data - 0.25).max() <= 1e-6
@@ -198,6 +245,13 @@ class TestPatches:
             hr = cube.data[:, r0 : r0 + 8, c0 : c0 + 8]
             assert np.array_equal(pair.hr, hr)
             assert np.array_equal(pair.lr, degrade(HsiCube(hr.copy()), 2).data)
+
+    def test_patch_pairs_reject_origins_outside_cube(self):
+        cube = random_cube(1, 16, 16)
+        spec = PatchSpec(8, 4, 2)
+        for origin in [(12, 0), (0, 9), (-1, 0)]:
+            with pytest.raises(CubeValidationError):
+                patch_pairs(cube, [origin], spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from conftest import probe_config, synthetic_split
@@ -157,6 +159,29 @@ class TestTrain:
         assert result.diverged
         for arr in result.model.state_arrays().values():
             assert np.all(np.isfinite(arr))
+
+    def test_non_finite_gradient_restores_last_good(self, monkeypatch):
+        train_mod = importlib.import_module("lkcanet.train")
+        backward = train_mod.backward
+        split = tiny_split()
+        model = LkcaNet(tiny_config(), seed=7)
+        start = {k: v.copy() for k, v in model.state_arrays().items()}
+        steps = []
+
+        def poisoned(loss):
+            backward(loss)
+            steps.append(any(not np.array_equal(v, start[k]) for k, v in model.state_arrays().items()))
+            if len(steps) == 2:
+                grad = model.params["head.weight"].grad
+                model.params["head.weight"].grad = np.full_like(grad, np.nan)
+
+        monkeypatch.setattr(train_mod, "backward", poisoned)
+        result = train(model, split, TrainConfig(epochs=2, batch_size=4))
+        assert "head.weight" in result.diverged
+        assert steps == [False, True]  # step 1 moved the weights before step 2 failed
+        assert result.history == []
+        for k, v in result.model.state_arrays().items():
+            assert np.array_equal(v, start[k])
 
 
 class TestDistill:
