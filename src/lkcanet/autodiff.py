@@ -32,10 +32,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Var:
     """A node in the reverse-mode graph wrapping one numpy array.
 
@@ -59,9 +55,6 @@ class Var:
     @property
     def dtype(self):
         return self.value.dtype
-
-    def detach(self) -> "Var":
-        return Var(self.value, name=self.name)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""

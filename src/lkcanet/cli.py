@@ -21,10 +21,9 @@ from . import __version__, hsi
 from .hsi import (
     CubeError,
     PatchSpec,
-    build_split,
     custom_protocol,
     named_protocol,
-    patch_pairs,
+    plan_split,
     read_cube,
     write_cube,
 )
@@ -167,13 +166,14 @@ def _distill_config(resolved: dict) -> DistillConfig:
 # ---------------------------------------------------------------------------
 
 
-def _save_split(split, out_dir: Path, cube_path: str) -> list[Path]:
+def _save_split(test: list, manifest: dict, out_dir: Path, cube_path: str) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = dict(split.manifest)
-    manifest["cube_path"] = str(cube_path)
+    manifest = dict(manifest)
+    # Absolute, so that a split loads from any working directory.
+    manifest["cube_path"] = str(Path(cube_path).resolve())
     manifest["test_files"] = []
     outputs = []
-    for i, region in enumerate(split.test):
+    for i, region in enumerate(test):
         name = f"test_{i}.hsc"
         write_cube(region, out_dir / name)
         manifest["test_files"].append(name)
@@ -184,22 +184,22 @@ def _save_split(split, out_dir: Path, cube_path: str) -> list[Path]:
     return outputs
 
 
-def load_split(split_dir) -> "hsi.Split":
-    """Rebuild a materialized split from a ``prepare`` output directory."""
+def _load_test_regions(split_dir) -> tuple[list, dict]:
+    """The whole test regions and the manifest of a ``prepare`` output
+    directory; the source cube is not read."""
     split_dir = Path(split_dir)
     manifest = json.loads((split_dir / "split.json").read_text(encoding="utf-8"))
+    return [read_cube(split_dir / name) for name in manifest["test_files"]], manifest
+
+
+def load_split(split_dir) -> "hsi.Split":
+    """Rebuild a materialized split from a ``prepare`` output directory."""
+    test, manifest = _load_test_regions(split_dir)
     cube = read_cube(manifest["cube_path"])
     if manifest.get("crop_shape"):
         ch, cw = manifest["crop_shape"]
         cube = hsi.central_crop(cube, ch, cw)
-    spec = PatchSpec(manifest["patch_size"], manifest["overlap"], manifest["scale_factor"])
-    test = [read_cube(split_dir / name) for name in manifest["test_files"]]
-    return hsi.Split(
-        train=patch_pairs(cube, manifest["train_origins"], spec),
-        val=patch_pairs(cube, manifest["val_origins"], spec),
-        test=test,
-        manifest=manifest,
-    )
+    return hsi.cut_split(cube, test, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +271,15 @@ def _cmd_prepare(ns) -> int:
     else:
         protocol = named_protocol(ns.dataset)
     spec = PatchSpec(resolved["patch_size"], resolved["overlap"], ns.scale)
-    split = build_split(cube, protocol, spec, seed=ns.seed)
+    _, test, manifest = plan_split(cube, protocol, spec, seed=ns.seed)
     if protocol.expected_shape is not None:
-        split.manifest["crop_shape"] = list(protocol.expected_shape)
-    outputs = _save_split(split, Path(ns.out), ns.cube)
+        manifest["crop_shape"] = list(protocol.expected_shape)
+    outputs = _save_split(test, manifest, Path(ns.out), ns.cube)
     resolved.update({"dataset": ns.dataset, "scale": ns.scale, "seed": ns.seed})
     _write_manifest(Path(ns.out) / "prepare.manifest.json", "prepare", resolved, [ns.cube], outputs)
     print(
-        f"prepared {ns.dataset} split: {len(split.train)} train / {len(split.val)} val "
-        f"patches, {len(split.test)} test regions -> {ns.out}"
+        f"prepared {ns.dataset} split: {len(manifest['train_origins'])} train / "
+        f"{len(manifest['val_origins'])} val patches, {len(test)} test regions -> {ns.out}"
     )
     return 0
 
@@ -422,8 +422,8 @@ def _cmd_approximate(ns) -> int:
 
 
 def _cmd_eval(ns) -> int:
-    split = load_split(ns.split)
-    r = split.manifest["scale_factor"]
+    test, manifest = _load_test_regions(ns.split)
+    r = manifest["scale_factor"]
     if ns.baseline:
         scorer: LkcaNet | str = ns.baseline
         label = ns.baseline
@@ -432,7 +432,7 @@ def _cmd_eval(ns) -> int:
             raise ValueError("eval needs --checkpoint or --baseline")
         scorer, _ = load_checkpoint(ns.checkpoint)
         label = str(ns.checkpoint)
-    averaged, per_region = evaluate(scorer, split.test, r, tile=ns.tile, margin=ns.margin)
+    averaged, per_region = evaluate(scorer, test, r)
     payload = {
         "model": label,
         "scale_factor": r,
@@ -642,9 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--split", required=True)
     ev.add_argument("--checkpoint", default=None)
     ev.add_argument("--baseline", choices=("bicubic",), default=None)
-    ev.add_argument("--tile", type=int, default=None, help="LR tile size for tiled forward")
-    ev.add_argument("--margin", type=int, default=None,
-                    help="tile context margin (default: receptive radius)")
     ev.add_argument("--out-json", dest="out_json", default=None)
     ev.add_argument("--out-csv", dest="out_csv", default=None)
     _add_common(ev)

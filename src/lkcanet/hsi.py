@@ -440,13 +440,15 @@ class Split:
     manifest: dict
 
 
-def build_split(cube: HsiCube, protocol: SplitProtocol, spec: PatchSpec, seed: int = 0) -> Split:
-    """Crop test regions, patch the remainder, and split train/val by seed.
+def plan_split(
+    cube: HsiCube, protocol: SplitProtocol, spec: PatchSpec, seed: int = 0
+) -> tuple[HsiCube, list[HsiCube], dict]:
+    """Lay out a split without cutting a patch.
 
-    Test regions are kept whole (never patched). Training/validation patches
-    are drawn from the rest of the cube; any candidate patch that intersects
-    a test region or exclusion zone is dropped, which is re-checked by a
-    final set-intersection assertion.
+    Returns the protocol-cropped cube, its whole test regions and the split
+    manifest, which holds the seeded train/val patch origins. Candidate
+    patches that intersect a test region or exclusion zone are dropped,
+    which is re-checked by a final set-intersection assertion.
     """
     if protocol.expected_shape is not None:
         eh, ew = protocol.expected_shape
@@ -496,9 +498,24 @@ def build_split(cube: HsiCube, protocol: SplitProtocol, spec: PatchSpec, seed: i
         "train_origins": [list(o) for o in train_origins],
         "val_origins": [list(o) for o in val_origins],
     }
+    return cube, test, manifest
+
+
+def cut_split(cube: HsiCube, test: list[HsiCube], manifest: dict) -> Split:
+    """Cut the train/val patch pairs a split manifest names from its
+    (protocol-cropped) source cube."""
+    spec = PatchSpec(manifest["patch_size"], manifest["overlap"], manifest["scale_factor"])
     return Split(
-        train=patch_pairs(cube, train_origins, spec),
-        val=patch_pairs(cube, val_origins, spec),
+        train=patch_pairs(cube, manifest["train_origins"], spec),
+        val=patch_pairs(cube, manifest["val_origins"], spec),
         test=test,
         manifest=manifest,
     )
+
+
+def build_split(cube: HsiCube, protocol: SplitProtocol, spec: PatchSpec, seed: int = 0) -> Split:
+    """Crop test regions, patch the remainder, and split train/val by seed.
+
+    Test regions are kept whole (never patched); see :func:`plan_split`.
+    """
+    return cut_split(*plan_split(cube, protocol, spec, seed))

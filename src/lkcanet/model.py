@@ -191,14 +191,6 @@ def flops_estimate(config: NetConfig, input_h: int, input_w: int) -> int:
     return sum(flops_breakdown(config, input_h, input_w).values())
 
 
-def receptive_radius(config: NetConfig) -> int:
-    """Radius (in LR pixels) of the network's receptive footprint."""
-    k1, k2 = config.kernel_sizes
-    d1, d2 = config.dilations
-    per_block = (k1 - 1) * d1 // 2 + (k2 - 1) * d2 // 2
-    return 1 + config.num_blocks * per_block + 1  # head conv + blocks + upsampler conv
-
-
 # ---------------------------------------------------------------------------
 # The network
 # ---------------------------------------------------------------------------
@@ -267,14 +259,6 @@ class LkcaNet:
         for v in self.params.values():
             v.grad = None
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        """Gradients per parameter; parameters that did not participate in
-        the last backward pass report zeros."""
-        return {
-            name: (v.grad if v.grad is not None else np.zeros_like(v.value))
-            for name, v in self.params.items()
-        }
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: v.value for name, v in self.params.items()}
 
@@ -296,10 +280,6 @@ class LkcaNet:
         """Zero every parameter; the forward then reduces to the bicubic skip."""
         for v in self.params.values():
             v.value = np.zeros_like(v.value)
-
-    @property
-    def receptive_radius(self) -> int:
-        return receptive_radius(self.config)
 
     # -- forward ------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import backward, no_grad
-from .hsi import HsiCube, degrade
+from .hsi import HsiCube, bicubic_resize, degrade
 from .losses import DecaySchedule, LossWeights, h_loss, kd_loss, total_loss
 from .metrics import MetricResult, average_metrics, evaluate_metrics, mpsnr
 from .model import LkcaNet
@@ -310,45 +310,14 @@ def distill(
 # ---------------------------------------------------------------------------
 
 
-def _forward_tiled(model: LkcaNet, lr: np.ndarray, tile: int, margin: int) -> np.ndarray:
-    """Overlap-and-crop tiling of a (B, H, W) low-resolution input.
-
-    With a margin >= the model's receptive radius and input-independent
-    attention gates this reproduces the untiled forward exactly; data-driven
-    gates see tile-local pooling statistics, so outputs can differ slightly
-    near tile joins.
-    """
-    b, h, w = lr.shape
-    r = model.config.scale_factor
-    out = np.zeros((b, h * r, w * r), dtype=lr.dtype)
-    for y0 in range(0, h, tile):
-        for x0 in range(0, w, tile):
-            y1, x1 = min(y0 + tile, h), min(x0 + tile, w)
-            yy0, xx0 = max(0, y0 - margin), max(0, x0 - margin)
-            yy1, xx1 = min(h, y1 + margin), min(w, x1 + margin)
-            sr = model.predict(lr[None, :, yy0:yy1, xx0:xx1])[0]
-            crop = sr[
-                :,
-                (y0 - yy0) * r : (y1 - yy0) * r,
-                (x0 - xx0) * r : (x1 - xx0) * r,
-            ]
-            out[:, y0 * r : y1 * r, x0 * r : x1 * r] = crop
-    return out
-
-
 def evaluate(
-    model: LkcaNet | str,
-    regions: list[HsiCube],
-    r: int,
-    tile: int | None = None,
-    margin: int | None = None,
+    model: LkcaNet | str, regions: list[HsiCube], r: int
 ) -> tuple[MetricResult, list[MetricResult]]:
     """Score a model (or the "bicubic" baseline) over whole test regions.
 
     Each high-resolution region is bicubic-degraded by r, super-resolved,
     and compared against the original; the six metrics are averaged over
-    regions. ``tile`` enables overlap-and-crop tiling for memory-bound
-    inputs.
+    regions.
 
     Returns (averaged metrics, per-region metrics).
     """
@@ -364,12 +333,7 @@ def evaluate(
         if isinstance(model, str):
             if model != "bicubic":
                 raise ValueError(f"unknown baseline {model!r}")
-            from .hsi import bicubic_resize
-
             sr = bicubic_resize(lr, region.height, region.width).data
-        elif tile is not None:
-            m = margin if margin is not None else model.receptive_radius
-            sr = _forward_tiled(model, lr.data, tile, m)
         else:
             sr = model.predict(lr.data[None])[0]
         per_region.append(evaluate_metrics(sr, region.data, r))

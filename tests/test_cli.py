@@ -1,10 +1,12 @@
 import importlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 from conftest import smooth_bands
 
+from lkcanet import cli, hsi
 from lkcanet.cli import load_split, main
 from lkcanet.hsi import PatchSpec, build_split, custom_protocol, read_cube
 from lkcanet.model import load_checkpoint
@@ -20,6 +22,11 @@ def run(*argv):
 TINY_MODEL_FLAGS = [
     "--channels", "8", "--blocks", "1", "--k1", "3", "--k2", "3", "--d1", "1",
     "--d2", "2", "--lkca-groups", "2", "--ca-reduction", "4", "--drop-path", "0.0",
+]
+
+SPLIT_FLAGS = [
+    "--dataset", "custom", "--regions", "[[0, 0, 16, 32]]", "--scale", "2",
+    "--patch-size", "8", "--overlap", "4",
 ]
 
 
@@ -111,6 +118,17 @@ class TestPrepare:
         )
         for name in ("split.json", "test_0.hsc"):
             assert (out2 / name).read_bytes() == (workspace / "split" / name).read_bytes()
+
+    def test_relative_cube_path_loads_from_elsewhere(self, workspace, tmp_path, monkeypatch):
+        here, elsewhere = tmp_path / "here", tmp_path / "elsewhere"
+        here.mkdir()
+        elsewhere.mkdir()
+        shutil.copy(workspace / "cube.hsc", here / "cube.hsc")
+        monkeypatch.chdir(here)
+        assert run("prepare", "--cube", "cube.hsc", *SPLIT_FLAGS, "--out", "split") == 0
+        monkeypatch.chdir(elsewhere)
+        split = load_split(here / "split")
+        assert len(split.train) + len(split.val) == 21
 
     def test_custom_without_regions_rejected(self, workspace, tmp_path):
         code = run(
@@ -353,6 +371,24 @@ class TestEvalCli:
 
     def test_needs_model_or_baseline(self, workspace):
         assert run("eval", "--split", str(workspace / "split")) == 3
+
+    @pytest.mark.parametrize("flag", [["--tile", "4"], ["--margin", "8"]])
+    def test_removed_flags_rejected(self, workspace, flag):
+        assert run("eval", "--split", str(workspace / "split"), "--baseline", "bicubic", *flag) == 2
+
+    def test_prepare_and_eval_cut_no_patches(self, workspace, tmp_path, monkeypatch):
+        def cut(*args):
+            raise AssertionError("patch_pairs called")
+
+        monkeypatch.setattr(hsi, "patch_pairs", cut)
+        monkeypatch.setattr(cli, "patch_pairs", cut, raising=False)
+        cube = tmp_path / "cube.hsc"
+        shutil.copy(workspace / "cube.hsc", cube)
+        split = str(tmp_path / "split")
+        assert run("prepare", "--cube", str(cube), *SPLIT_FLAGS, "--out", split) == 0
+        cube.unlink()  # eval needs the split directory only
+        assert run("eval", "--split", split, "--baseline", "bicubic") == 0
+        assert run("eval", "--split", split, "--checkpoint", str(workspace / "init.lkca")) == 0
 
 
 class TestBench:

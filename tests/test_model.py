@@ -15,7 +15,6 @@ from lkcanet.model import (
     load_weights,
     param_breakdown,
     param_count,
-    receptive_radius,
     save_checkpoint,
 )
 
@@ -254,13 +253,6 @@ class TestFlops:
         hand += 2 * 4 * 4 * hw                    # proj_out 1x1
         hand += 2 * 9 * 4 * 8 * hw                # upsampler 3x3, 4 -> 2*r^2
         assert flops_estimate(cfg, h, w) == hand
-
-
-class TestReceptiveRadius:
-    def test_formula(self):
-        cfg = toy_config()  # k=(3,3), d=(2,3), 2 blocks
-        per_block = (3 - 1) * 2 // 2 + (3 - 1) * 3 // 2
-        assert receptive_radius(cfg) == 1 + 2 * per_block + 1
 
 
 class TestCheckpoint:
