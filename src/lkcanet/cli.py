@@ -4,18 +4,22 @@ reproducible workflows.
 
 Exit codes: 0 ok, 2 usage, 3 validation, 4 numeric failure. Every
 artifact-producing command writes a run manifest (command, resolved
-configuration, seeds, paths, version, timestamp) next to its outputs.
+configuration, seeds, paths, version, timestamp, and the numeric
+environment: numpy, scipy and BLAS versions, BLAS thread variables, CPU
+count) next to its outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, hsi
 from .hsi import (
@@ -51,6 +55,8 @@ from .train import (
 
 _VALIDATION_ERRORS = (ValueError, KeyError, CubeError, CheckpointError, FileNotFoundError, IsADirectoryError)
 _NUMERIC_ERRORS = (NonFiniteGradientError, SvdConvergenceError, FloatingPointError)
+# Variables that set the BLAS thread count, recorded in every manifest.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 MODEL_DEFAULTS = {
     "channels": 128,
@@ -109,6 +115,18 @@ def _resolve(ns: argparse.Namespace, defaults: dict, file_cfg: dict) -> dict:
     return out
 
 
+def _environment() -> dict:
+    """The numeric environment a run's numbers depend on."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(path: Path, command: str, resolved: dict, inputs: list, outputs: list) -> None:
     manifest = {
         "command": command,
@@ -117,6 +135,7 @@ def _write_manifest(path: Path, command: str, resolved: dict, inputs: list, outp
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "environment": _environment(),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -5,7 +5,11 @@ Six quality indices over (B, H, W) or batched (N, B, H, W) stacks of data in
 per-band Pearson correlation, global RMSE, and the relative global synthesis
 error. Batched inputs are scored per image and averaged.
 
-All computation runs in double precision.
+All computation runs in double precision. :func:`evaluate_metrics` casts the
+pair once and hands the float64 arrays to the six indices, which then copy
+nothing. SSIM filters each band's five maps (x, y, x², y², xy) as one stack,
+with the separable Gaussian applied along each axis as a blocked Toeplitz
+matmul, and SAM works through the image a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 PSNR_CAP_DB = 100.0
 
@@ -21,6 +26,11 @@ _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_RANGE = 1.0
+# Outputs per Toeplitz block of the SSIM filter.
+_SSIM_BLOCK = 16
+
+# Bytes of one row chunk of the (N, B, rows, W) stack in sam_degrees.
+_SAM_CHUNK_BYTES = 1 << 20
 
 _CSV_COLUMNS = ("MPSNR", "MSSIM", "SAM", "CC", "RMSE", "ERGAS")
 
@@ -88,17 +98,46 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _filter_valid(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    # Separable "valid" convolution with a symmetric window.
+def _band_matrix(window: np.ndarray, block: int) -> np.ndarray:
+    """(block + k - 1, block) Toeplitz matrix whose column j holds the
+    window in rows j..j+k-1: a row of block + k - 1 samples times it gives
+    ``block`` consecutive "valid" filter outputs."""
     k = window.size
-    h, w = img.shape
-    rows = np.zeros((h, w - k + 1), dtype=np.float64)
-    for i in range(k):
-        rows += window[i] * img[:, i : i + w - k + 1]
-    out = np.zeros((h - k + 1, w - k + 1), dtype=np.float64)
-    for i in range(k):
-        out += window[i] * rows[i : i + h - k + 1, :]
-    return out
+    band = np.zeros((block + k - 1, block), dtype=np.float64)
+    for j in range(block):
+        band[j : j + k, j] = window
+    return band
+
+
+_SSIM_BAND = _band_matrix(_gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA), _SSIM_BLOCK)
+
+
+def _padded_extent(n: int) -> int:
+    """Extent n zero-padded so its "valid" outputs fill whole blocks."""
+    blocks = -(-(n - _SSIM_WINDOW + 1) // _SSIM_BLOCK)
+    return blocks * _SSIM_BLOCK + _SSIM_WINDOW - 1
+
+
+def _filter_valid(stack: np.ndarray, h: int) -> np.ndarray:
+    """Separable "valid" Gaussian filter of a zero-padded (M, Hp, Wp) stack
+    whose maps are H rows high.
+
+    Each axis is a blocked Toeplitz matmul: overlapping windows of
+    ``_SSIM_BLOCK + 10`` samples, taken as strided views, times the band
+    matrix. Returns (M, column blocks, H - 10, _SSIM_BLOCK), where
+    ``[:, q, :, t]`` is output column ``q * _SSIM_BLOCK + t``; columns past
+    the valid width read padding.
+    """
+    block, span = _SSIM_BLOCK, _SSIM_BLOCK + _SSIM_WINDOW - 1
+    m, hp, wp = stack.shape
+    s0, s1, s2 = stack.strides
+    row_windows = as_strided(stack, (m, (hp - span) // block + 1, span, wp), (s0, block * s1, s1, s2))
+    rows = np.matmul(_SSIM_BAND.T, row_windows).reshape(m, -1, wp)[:, : h - _SSIM_WINDOW + 1]
+    r0, r1, r2 = rows.strides
+    col_windows = as_strided(
+        rows, (m, (wp - span) // block + 1, rows.shape[1], span), (r0, block * r2, r1, r2)
+    )
+    return np.matmul(col_windows, _SSIM_BAND)
 
 
 def band_ssim(sr_band: np.ndarray, hr_band: np.ndarray) -> float:
@@ -110,17 +149,23 @@ def band_ssim(sr_band: np.ndarray, hr_band: np.ndarray) -> float:
         raise ValueError(
             f"band extent {x.shape} smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} SSIM window"
         )
-    win = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
+    h, w = x.shape
+    # x, y, x^2, y^2 and xy, filtered as one stack.
+    stack = np.zeros((5, _padded_extent(h), _padded_extent(w)), dtype=np.float64)
+    stack[0, :h, :w] = x
+    stack[1, :h, :w] = y
+    np.multiply(x, x, out=stack[2, :h, :w])
+    np.multiply(y, y, out=stack[3, :h, :w])
+    np.multiply(x, y, out=stack[4, :h, :w])
+    mx, my, exx, eyy, exy = _filter_valid(stack, h)
     c1 = (_SSIM_K1 * _SSIM_RANGE) ** 2
     c2 = (_SSIM_K2 * _SSIM_RANGE) ** 2
-    mx = _filter_valid(x, win)
-    my = _filter_valid(y, win)
-    sxx = _filter_valid(x * x, win) - mx * mx
-    syy = _filter_valid(y * y, win) - my * my
-    sxy = _filter_valid(x * y, win) - mx * my
-    num = (2.0 * mx * my + c1) * (2.0 * sxy + c2)
-    den = (mx * mx + my * my + c1) * (sxx + syy + c2)
-    return float(np.mean(num / den))
+    mxy = mx * my
+    mm = mx * mx + my * my
+    ssim = (2.0 * mxy + c1) * (2.0 * (exy - mxy) + c2) / ((mm + c1) * (exx + eyy - mm + c2))
+    # Column blocks back side by side, then the valid width only.
+    valid = ssim.transpose(1, 0, 2).reshape(ssim.shape[1], -1)[:, : w - _SSIM_WINDOW + 1]
+    return float(np.mean(valid))
 
 
 def mssim(sr, hr) -> float:
@@ -134,15 +179,21 @@ def mssim(sr, hr) -> float:
 def sam_degrees(sr, hr, eps: float = 1e-8) -> float:
     """Mean spectral angle in degrees, stable half-angle form (exactly zero
     for identical inputs). Pixels with a zero spectrum on either side
-    contribute the angle of the guarded unit vectors."""
+    contribute the angle of the guarded unit vectors. Runs over chunks of
+    rows, so its temporaries stay near ``_SAM_CHUNK_BYTES`` each."""
     a, b = _check_pair(sr, hr)
-    na = np.sqrt((a * a).sum(axis=1, keepdims=True))
-    nb = np.sqrt((b * b).sum(axis=1, keepdims=True))
-    u = a / np.maximum(na, eps)
-    v = b / np.maximum(nb, eps)
-    dq = np.sqrt(((u - v) ** 2).sum(axis=1))
-    dp = np.sqrt(((u + v) ** 2).sum(axis=1))
-    theta = 2.0 * np.arctan2(dq, dp)
+    n, bands, h, w = a.shape
+    rows = max(1, _SAM_CHUNK_BYTES // (n * bands * w * a.itemsize))
+    theta = np.empty((n, h, w), dtype=np.float64)
+    for r0 in range(0, h, rows):
+        ca, cb = a[:, :, r0 : r0 + rows], b[:, :, r0 : r0 + rows]
+        na = np.sqrt((ca * ca).sum(axis=1, keepdims=True))
+        nb = np.sqrt((cb * cb).sum(axis=1, keepdims=True))
+        u = ca / np.maximum(na, eps)
+        v = cb / np.maximum(nb, eps)
+        dq = np.sqrt(((u - v) ** 2).sum(axis=1))
+        dp = np.sqrt(((u + v) ** 2).sum(axis=1))
+        theta[:, r0 : r0 + rows] = 2.0 * np.arctan2(dq, dp)
     return float(np.degrees(theta.mean()))
 
 
@@ -191,18 +242,21 @@ def ergas(sr, hr, r: int, eps: float = 1e-12) -> float:
 
 
 def evaluate_metrics(sr, hr, r: int) -> MetricResult:
-    """All six indices for one reconstruction against its reference."""
-    cc_val, degenerate = cc(sr, hr)
+    """All six indices for one reconstruction against its reference.
+
+    The pair is cast to float64 once; each index then reads it in place."""
+    a, b = _check_pair(sr, hr)
+    cc_val, degenerate = cc(a, b)
     notes = []
     if degenerate:
         notes.append(f"{degenerate} zero-variance band(s) in the correlation metric")
     return MetricResult(
-        mpsnr=mpsnr(sr, hr),
-        mssim=mssim(sr, hr),
-        sam=sam_degrees(sr, hr),
+        mpsnr=mpsnr(a, b),
+        mssim=mssim(a, b),
+        sam=sam_degrees(a, b),
         cc=cc_val,
-        rmse=rmse(sr, hr),
-        ergas=ergas(sr, hr, r),
+        rmse=rmse(a, b),
+        ergas=ergas(a, b, r),
         notes=notes,
     )
 

@@ -9,7 +9,8 @@ from the call shapes:
 - 1x1, dense or grouped: one batched matmul on the input itself, whose
   backward reshapes instead of scattering;
 - depthwise (groups == in == out channels) with k > 1: the forward is an
-  im2col matmul whose buffer is dropped at once, and the backward is direct
+  im2col matmul, run one chunk of channels at a time so that the buffer
+  stays within a few MB and is dropped at once, and the backward is direct
   shift-and-accumulate over the taps that overlap the image, keeping only
   the input and the weights;
 - every other conv (dense and grouped 3x3, depth multipliers): a matmul on
@@ -36,6 +37,11 @@ from .autodiff import Var, as_var, backward, no_grad, record
 
 _SQRT1_2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# Largest im2col buffer one depthwise forward builds at once. It holds every
+# depthwise conv of the probe config (4 x 16 x 49 x 16 x 16 float32 = 3.2 MB)
+# in one piece. On a 2-core Xeon, budgets from 1 to 16 MB ran a 64x64 k7 call
+# equally fast.
+_DEPTHWISE_CHUNK_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +184,11 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int):
 def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int):
     """Depthwise conv, one k x k filter per channel.
 
-    The forward is that of :func:`_matmul_conv`; its VJP and im2col buffer
-    are dropped on return. It stays a matmul, not shift-and-accumulate,
+    The forward is the im2col matmul of :func:`_matmul_conv`, run on one
+    chunk of channels at a time so that no im2col buffer exceeds
+    ``_DEPTHWISE_CHUNK_BYTES``; a call whose whole buffer fits is one chunk.
+    Every (sample, channel) matmul keeps its shape, so the output does not
+    depend on the chunking. It stays a matmul, not shift-and-accumulate,
     because training amplifies any change in its rounding: Adam's first
     step follows the sign of each gradient element. The VJP is direct
     shift-and-accumulate over the taps that overlap the image and keeps
@@ -189,7 +198,13 @@ def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int):
     n, c, h, w = xv.shape
     k = wv.shape[-1]
     w2 = wv.reshape(c, k, k)
-    out, _ = _matmul_conv(xv, wv, dilation, c)
+    step = max(1, _DEPTHWISE_CHUNK_BYTES // (n * k * k * h * w * xv.itemsize))
+    out = np.empty(xv.shape, dtype=np.result_type(xv, wv))
+    out_rows, wmat = out.reshape(n, c, 1, h * w), wv.reshape(c, 1, k * k)
+    for c0 in range(0, c, step):
+        xs = xv[:, c0 : c0 + step]
+        cols = _im2col(xs, k, dilation, xs.shape[1])  # (n, chunk, k*k, h*w)
+        np.matmul(wmat[c0 : c0 + step], cols, out=out_rows[:, c0 : c0 + step])
     taps = _taps(k, dilation, h, w)
 
     def vjp(g):

@@ -1,9 +1,11 @@
 import importlib
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
+import scipy
 from conftest import smooth_bands
 
 from lkcanet import cli, hsi
@@ -161,6 +163,22 @@ class TestTrainCli:
         manifest = json.loads((tmp_path / "m.lkca.manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["resolved_config"]["epochs"] == 2
+
+    def test_manifest_records_numeric_environment(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "m.lkca"
+        args = ["train", "--split", str(workspace / "split"), "--out", str(out), "--epochs", "0"]
+        assert run(*args, *TINY_MODEL_FLAGS) == 0
+        env = json.loads((tmp_path / "m.lkca.manifest.json").read_text())["environment"]
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["blas"] == {"name": blas.get("name"), "version": blas.get("version")}
+        assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["thread_env"]["MKL_NUM_THREADS"] is None
+        assert set(env["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["cpu_count"] == os.cpu_count()
 
     @pytest.mark.parametrize("flag", [["--deterministic"], ["--threads", "2"]])
     def test_removed_flags_rejected(self, workspace, tmp_path, flag):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
@@ -101,3 +103,50 @@ class TestBehaviors:
         assert avg.rmse == pytest.approx(0.2)
         with pytest.raises(ValueError):
             average_metrics([])
+
+
+# Partial filter blocks on both axes, the 11-px minimum, 3-D and batched
+# inputs, and one region-like float32 stack.
+ONE_CAST_SHAPES = [(1, 11, 11), (2, 13, 40), (2, 2, 37, 29), (3, 27, 16), (32, 64, 64)]
+
+
+def float32_pair(shape, seed=7):
+    rng = np.random.default_rng(seed)
+    hr = rng.random(shape, dtype=np.float32)
+    sr = np.clip(hr + 0.05 * rng.standard_normal(shape), 0.0, 1.0).astype(np.float32)
+    return sr, hr
+
+
+class TestOneCast:
+    @pytest.mark.parametrize("shape", ONE_CAST_SHAPES)
+    def test_fields_equal_the_public_functions(self, shape):
+        sr, hr = float32_pair(shape)
+        res = evaluate_metrics(sr, hr, r=4)
+        assert res.mpsnr == mpsnr(sr, hr)
+        assert res.mssim == mssim(sr, hr)
+        assert res.sam == sam_degrees(sr, hr)
+        assert res.cc == cc(sr, hr)[0]
+        assert res.rmse == rmse(sr, hr)
+        assert res.ergas == ergas(sr, hr, 4)
+
+    # The 32-band stack is left out: the loop oracle would take minutes on it.
+    @pytest.mark.parametrize("shape", ONE_CAST_SHAPES[:4])
+    def test_mssim_matches_loop_oracle(self, shape):
+        # float64, so that the oracle's scalar arithmetic is double precision.
+        sr, hr = (v.astype(np.float64) for v in float32_pair(shape))
+        if sr.ndim == 3:
+            sr, hr = sr[None], hr[None]
+        assert abs(mssim(sr, hr) - loop_mssim(sr, hr)) <= 1e-12
+
+    def test_peak_memory_within_three_float64_copies(self):
+        # The float64 cast of sr and hr is two copies; RMSE's squared
+        # difference is the third. 1 MiB covers interpreter bookkeeping.
+        sr, hr = float32_pair((32, 128, 128))
+        copy_f64 = sr.size * 8
+        tracemalloc.start()
+        try:
+            evaluate_metrics(sr, hr, r=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * copy_f64 + 2**20

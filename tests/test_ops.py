@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lkcanet import ops
-from lkcanet.autodiff import Var, backward, record
+from lkcanet.autodiff import Var, backward, no_grad, record
 
 
 def naive_conv2d(x, w, b, dilation, groups):
@@ -160,6 +162,37 @@ class TestConv2d:
         cols = np.nonzero(out.sum(axis=0))[0]
         assert rows[-1] - rows[0] + 1 == extent
         assert cols[-1] - cols[0] + 1 == extent
+
+
+class TestDepthwiseChunks:
+    def test_chunked_forward_equals_whole_buffer(self):
+        # Enough channels for at least three chunks; at dilation 7 on a 16x16
+        # map the outer taps lie wholly or partly in the padding.
+        n, k, d, h = 2, 7, 7, 16
+        per_channel = n * k * k * h * h * np.dtype(np.float32).itemsize
+        step = ops._DEPTHWISE_CHUNK_BYTES // per_channel
+        c = 3 * step + 1
+        assert 1 <= step and -(-c // step) >= 3
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((n, c, h, h)).astype(np.float32)
+        w = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+        whole, _ = ops._matmul_conv(x, w, d, groups=c)
+        out = ops.conv2d(x, w, dilation=d, groups=c).value
+        assert out.dtype == whole.dtype
+        assert np.array_equal(out, whole)
+
+    def test_forward_buffer_is_bounded(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((1, 64, 96, 96)).astype(np.float32)
+        w = rng.standard_normal((64, 1, 7, 7)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = ops.conv2d(x, w, dilation=3, groups=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.value.nbytes + 16 * 2**20
 
 
 class TestLayerNorm:
