@@ -11,6 +11,7 @@ read round trip is bit-exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -22,6 +23,9 @@ MAGIC = b"HSCUBE01"
 
 # Hard cap on declared payload size (bytes) so corrupt headers fail fast.
 _MAX_PAYLOAD = 1 << 40
+
+# Budget (bytes) for the largest float64 temporary of one resize chunk.
+_RESIZE_CHUNK_BYTES = 1 << 20
 
 
 class CubeError(ValueError):
@@ -198,32 +202,44 @@ def _cubic_taps(src_len: int, out_len: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, weights
 
 
-def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
-    idx, w = _cubic_taps(arr.shape[axis], out_len)
-    shape = [1] * arr.ndim
-    shape[axis] = out_len
-    out = np.zeros(arr.shape[:axis] + (out_len,) + arr.shape[axis + 1 :], dtype=np.float64)
-    for k in range(4):
-        out += w[:, k].reshape(shape) * np.take(arr, idx[:, k], axis=axis)
-    return out
+@functools.lru_cache(maxsize=32)
+def _resize_matrix(src_len: int, out_len: int) -> np.ndarray:
+    """Dense read-only (out, in) float64 matrix of the cubic taps; the
+    weights of taps clamped to the same edge sample share its column."""
+    idx, w = _cubic_taps(src_len, out_len)
+    m = np.zeros((out_len, src_len))
+    np.add.at(m, (np.arange(out_len)[:, None], idx), w)
+    m.flags.writeable = False
+    return m
 
 
 def resize_bands(arr: np.ndarray, out_h: int, out_w: int, clamp: bool = True) -> np.ndarray:
     """Bicubic (a = -0.5, edge-clamped) resize of the trailing two axes.
 
-    Each band/leading slice is resampled independently. Computation is in
-    double precision; the result is cast back to the input dtype and, by
-    default, clamped to [0, 1].
+    Each leading slice ``x`` is resampled independently as ``Mh @ x @ Mw.T``
+    with the separable matrices of ``_resize_matrix``. The work is in double
+    precision, a chunk of slices at a time whose largest float64 temporary
+    fits ``_RESIZE_CHUNK_BYTES``; each chunk is clamped to [0, 1] by default
+    and written into one output of the input dtype. A non-finite input
+    sample makes its whole output slice non-finite, because the matrices'
+    zero weights still multiply it (0 * NaN is NaN); other slices are
+    unaffected.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output extents must be >= 1, got {out_h}x{out_w}")
     a = np.asarray(arr)
-    work = a.astype(np.float64, copy=False)
-    work = _resize_axis(work, out_h, axis=a.ndim - 2)
-    work = _resize_axis(work, out_w, axis=a.ndim - 1)
-    if clamp:
-        work = np.clip(work, 0.0, 1.0)
-    return work.astype(a.dtype, copy=False)
+    *lead, h, w = a.shape
+    mh, mw_t = _resize_matrix(h, out_h), _resize_matrix(w, out_w).T
+    src = a.reshape(-1, h, w)
+    out = np.empty((src.shape[0], out_h, out_w), dtype=a.dtype)
+    step = max(1, _RESIZE_CHUNK_BYTES // (8 * max(h * w, out_h * w, out_h * out_w)))
+    for s0 in range(0, src.shape[0], step):
+        work = mh @ src[s0 : s0 + step].astype(np.float64, copy=False) @ mw_t
+        if clamp:
+            np.clip(work, 0.0, 1.0, out=work)
+        out[s0 : s0 + step] = work
+        del work  # else the next chunk's product is built while this one lives
+    return out.reshape(*lead, out_h, out_w)
 
 
 def bicubic_resize(cube: HsiCube, out_h: int, out_w: int) -> HsiCube:

@@ -283,9 +283,14 @@ def gelu(x: Var) -> Var:
     xv = x.value
     phi = 0.5 * (1.0 + erf(xv * _SQRT1_2))
     out = xv * phi
-    pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT_2PI
-    deriv = phi + xv * pdf
-    return record(out, (x,), lambda g: (g * deriv,))
+
+    def vjp(g):
+        # The derivative is built only when a graph runs backward, so
+        # gradient-free forwards skip it.
+        pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT_2PI
+        return (g * (phi + xv * pdf),)
+
+    return record(out, (x,), vjp)
 
 
 def relu(x: Var) -> Var:

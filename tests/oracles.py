@@ -1,10 +1,16 @@
 """Independent scalar-loop reference implementations used as test oracles.
 
 These deliberately avoid the library's vectorized code paths: everything is
-explicit Python loops and math-module scalar arithmetic.
+explicit Python loops and math-module scalar arithmetic, except
+``gather_resize``, which is the whole-array gather form of the bicubic
+resize that the library's matrix form must reproduce.
 """
 
 import math
+
+import numpy as np
+
+from lkcanet.hsi import _cubic_taps
 
 
 def loop_l1(a, b):
@@ -161,3 +167,25 @@ def loop_ergas(a, b, r):
             acc += se / (mean * mean)
         terms.append(acc / a.shape[1])
     return 100.0 / r * math.sqrt(sum(terms) / len(terms))
+
+
+def gather_resize(arr, out_h, out_w, clamp=True):
+    """Bicubic resize of the trailing two axes as four whole-array float64
+    gathers per axis, accumulated tap by tap."""
+
+    def resize_axis(arr, out_len, axis):
+        idx, w = _cubic_taps(arr.shape[axis], out_len)
+        shape = [1] * arr.ndim
+        shape[axis] = out_len
+        out = np.zeros(arr.shape[:axis] + (out_len,) + arr.shape[axis + 1 :], dtype=np.float64)
+        for k in range(4):
+            out += w[:, k].reshape(shape) * np.take(arr, idx[:, k], axis=axis)
+        return out
+
+    a = np.asarray(arr)
+    work = a.astype(np.float64, copy=False)
+    work = resize_axis(work, out_h, axis=a.ndim - 2)
+    work = resize_axis(work, out_w, axis=a.ndim - 1)
+    if clamp:
+        work = np.clip(work, 0.0, 1.0)
+    return work.astype(a.dtype, copy=False)

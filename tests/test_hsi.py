@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gather_resize
 
+from lkcanet import hsi
 from lkcanet.hsi import (
     CubeFormatError,
     CubeTruncatedError,
@@ -178,6 +182,73 @@ class TestBicubic:
         cube = random_cube(1, 4, 4)
         with pytest.raises(ValueError):
             bicubic_resize(cube, 0, 4)
+
+
+# (input shape, out_h, out_w, clamp): the eval skip, degrade, a training
+# batch's skip, a non-integer ratio, 1-px axes, no clamp, and an input that
+# spans several chunks.
+RESIZE_CASES = [
+    ((1, 32, 64, 64), 256, 256, True),
+    ((32, 256, 256), 64, 64, True),
+    ((8, 32, 16, 16), 64, 64, True),
+    ((3, 7, 13), 29, 5, True),
+    ((2, 1, 9), 4, 1, True),
+    ((2, 9, 6), 1, 12, True),
+    ((4, 12, 10), 30, 25, False),
+    ((3, 8, 96, 96), 192, 192, True),
+]
+
+
+class TestResizeMatrixForm:
+    def test_cases_include_several_chunks(self):
+        shape, out_h, out_w, _ = RESIZE_CASES[-1]
+        per_slice = 8 * max(shape[-2] * shape[-1], out_h * shape[-1], out_h * out_w)
+        assert shape[0] * shape[1] > hsi._RESIZE_CHUNK_BYTES // per_slice
+
+    @pytest.mark.parametrize("shape,out_h,out_w,clamp", RESIZE_CASES)
+    def test_float32_equals_gather_oracle(self, shape, out_h, out_w, clamp):
+        x = np.random.default_rng(3).random(shape, dtype=np.float32)
+        if not clamp:
+            x = 2.0 * x - 0.5  # samples outside [0, 1] survive unclamped
+        got = resize_bands(x, out_h, out_w, clamp=clamp)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, gather_resize(x, out_h, out_w, clamp=clamp))
+
+    @pytest.mark.parametrize("shape,out_h,out_w,clamp", RESIZE_CASES)
+    def test_float64_within_1e12_of_gather_oracle(self, shape, out_h, out_w, clamp):
+        # No float32 cast absorbs the summation-order change here.
+        x = np.random.default_rng(4).random(shape)
+        got = resize_bands(x, out_h, out_w, clamp=clamp)
+        assert got.dtype == np.float64
+        assert np.abs(got - gather_resize(x, out_h, out_w, clamp=clamp)).max() <= 1e-12
+
+    def test_cached_matrix_rejects_writes(self):
+        m = hsi._resize_matrix(8, 16)
+        assert hsi._resize_matrix(8, 16) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "shape,call",
+        [
+            ((64, 512, 512), lambda x: degrade_array(x, 4)),
+            ((1, 64, 128, 128), lambda x: resize_bands(x, 512, 512)),
+        ],
+        ids=["degrade", "skip"],
+    )
+    def test_float64_work_is_bounded(self, shape, call):
+        # The peak is the output plus a few MB of chunk temporaries and
+        # matrices, not whole-array float64 copies.
+        x = np.random.default_rng(5).random(shape, dtype=np.float32)
+        hsi._resize_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = call(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (4 << 20)
 
 
 class TestDegrade:
