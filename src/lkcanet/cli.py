@@ -58,17 +58,26 @@ _NUMERIC_ERRORS = (NonFiniteGradientError, SvdConvergenceError, FloatingPointErr
 # Variables that set the BLAS thread count, recorded in every manifest.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-MODEL_DEFAULTS = {
-    "channels": 128,
-    "blocks": 16,
-    "k1": 5,
-    "k2": 7,
-    "d1": 5,
-    "d2": 7,
-    "lkca_groups": 4,
-    "ca_reduction": 16,
-    "groups": 1,
-    "drop_path": 0.1,
+# Model flags: value type, built-in default, help text.
+_MODEL_FLAGS = {
+    "channels": (int, 128, "feature channels C"),
+    "blocks": (int, 16, "number of attention blocks"),
+    "k1": (int, 5, "first depthwise kernel size"),
+    "k2": (int, 7, "second depthwise kernel size"),
+    "d1": (int, 5, "first dilation rate"),
+    "d2": (int, 7, "second dilation rate"),
+    "lkca_groups": (int, 4, "groups of the 1x1 fusion conv"),
+    "ca_reduction": (int, 16, "channel-attention reduction"),
+    "groups": (int, 1, "upsampler groups; 1 = full convolution"),
+    "drop_path": (float, 0.1, "stochastic-depth rate during training"),
+}
+MODEL_DEFAULTS = {key: default for key, (_, default, _) in _MODEL_FLAGS.items()}
+# The defaults ``distill --help`` names: the student takes the teacher's
+# architecture at half its depth, with a full upsampler.
+_STUDENT_DEFAULTS = {
+    **{key: "the teacher's" for key in MODEL_DEFAULTS},
+    "blocks": "half the teacher's, at least 1",
+    "groups": MODEL_DEFAULTS["groups"],
 }
 
 TRAIN_DEFAULTS = {
@@ -529,28 +538,20 @@ def _cmd_bench(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed for every stochastic step")
-    p.add_argument("--config", default=None, help="JSON config file (flags override it)")
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """``--json``, after whichever of ``--seed`` and ``--config`` the command reads."""
+    if "--seed" in flags:
+        p.add_argument("--seed", type=int, default=0, help="random seed for every stochastic step")
+    if "--config" in flags:
+        p.add_argument("--config", default=None, help="JSON config file (flags override it)")
     p.add_argument("--json", action="store_true", help="machine-readable output/errors")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, defaults: dict = MODEL_DEFAULTS) -> None:
     g = p.add_argument_group("model")
-    g.add_argument("--channels", type=int, default=argparse.SUPPRESS, help="feature channels C (default 128)")
-    g.add_argument("--blocks", type=int, default=argparse.SUPPRESS, help="number of attention blocks (default 16)")
-    g.add_argument("--k1", type=int, default=argparse.SUPPRESS, help="first depthwise kernel size (default 5)")
-    g.add_argument("--k2", type=int, default=argparse.SUPPRESS, help="second depthwise kernel size (default 7)")
-    g.add_argument("--d1", type=int, default=argparse.SUPPRESS, help="first dilation rate (default 5)")
-    g.add_argument("--d2", type=int, default=argparse.SUPPRESS, help="second dilation rate (default 7)")
-    g.add_argument("--lkca-groups", dest="lkca_groups", type=int, default=argparse.SUPPRESS,
-                   help="groups of the 1x1 fusion conv (default 4)")
-    g.add_argument("--ca-reduction", dest="ca_reduction", type=int, default=argparse.SUPPRESS,
-                   help="channel-attention reduction (default 16)")
-    g.add_argument("--groups", type=int, default=argparse.SUPPRESS,
-                   help="upsampler groups; 1 = full convolution (default 1)")
-    g.add_argument("--drop-path", dest="drop_path", type=float, default=argparse.SUPPRESS,
-                   help="stochastic-depth rate during training (default 0.1)")
+    for dest, (kind, _, text) in _MODEL_FLAGS.items():
+        g.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind, default=argparse.SUPPRESS,
+                       help=f"{text} (default {defaults[dest]})")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -607,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.add_argument("--regions", default=None,
                          help="custom test regions as JSON [[row,col,h,w],...]")
     prepare.add_argument("--out", required=True, help="output split directory")
-    _add_common(prepare)
+    _add_common(prepare, "--seed", "--config")
     prepare.set_defaults(handler=_cmd_prepare)
 
     tr = sub.add_parser("train", help="train a model on a prepared split",
@@ -616,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="output checkpoint path")
     _add_model_flags(tr)
     _add_train_flags(tr)
-    _add_common(tr)
+    _add_common(tr, "--seed", "--config")
     tr.set_defaults(handler=_cmd_train)
 
     di = sub.add_parser("distill", help="train a student against a frozen teacher",
@@ -632,9 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="epochs per decay step f (default 10)")
     di.add_argument("--kd-target", dest="kd_target", choices=("post_shuffle", "reconstruction"),
                     default=argparse.SUPPRESS, help="alignment tensor (default post_shuffle)")
-    _add_model_flags(di)
+    _add_model_flags(di, _STUDENT_DEFAULTS)
     _add_train_flags(di)
-    _add_common(di)
+    _add_common(di, "--seed", "--config")
     di.set_defaults(handler=_cmd_distill)
 
     ar = sub.add_parser("analyze-rank", help="SVD the upsampler and export its spectrum",
@@ -653,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--init", choices=("random", "svd_blocks"), default="random",
                     help="grouped-weight initialization")
     ap.add_argument("--out", required=True)
-    _add_common(ap)
+    _add_common(ap, "--seed")
     ap.set_defaults(handler=_cmd_approximate)
 
     ev = sub.add_parser("eval", help="score a checkpoint or baseline on test regions",
@@ -673,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--input-size", dest="input_size", default="32x32",
                     help="LR input size HxW for the FLOPs column")
     _add_model_flags(be)
-    _add_common(be)
+    _add_common(be, "--config")
     be.set_defaults(handler=_cmd_bench)
 
     return parser

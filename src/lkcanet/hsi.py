@@ -368,6 +368,10 @@ class Region:
         return (self.row, self.col, self.height, self.width)
 
 
+# Share of the kept training patches held out for validation.
+VALIDATION_FRACTION = 0.10
+
+
 @dataclass(frozen=True)
 class SplitProtocol:
     """Test-region layout and training-sampling rules for one dataset.
@@ -381,7 +385,6 @@ class SplitProtocol:
     test_regions: tuple[Region, ...]
     exclusions: tuple[Region, ...] = ()
     expected_shape: tuple[int, int] | None = None
-    validation_fraction: float = 0.10
 
 
 def chikusei_protocol() -> SplitProtocol:
@@ -422,18 +425,8 @@ def named_protocol(name: str) -> SplitProtocol:
         ) from None
 
 
-def custom_protocol(
-    test_regions: list[tuple[int, int, int, int]],
-    exclusions: list[tuple[int, int, int, int]] | None = None,
-    validation_fraction: float = 0.10,
-) -> SplitProtocol:
-    return SplitProtocol(
-        "custom",
-        tuple(Region(*r) for r in test_regions),
-        tuple(Region(*r) for r in (exclusions or [])),
-        None,
-        validation_fraction,
-    )
+def custom_protocol(test_regions: list[tuple[int, int, int, int]]) -> SplitProtocol:
+    return SplitProtocol("custom", tuple(Region(*r) for r in test_regions))
 
 
 def central_crop(cube: HsiCube, height: int, width: int) -> HsiCube:
@@ -496,7 +489,7 @@ def plan_split(
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(kept_origins))
     shuffled = [kept_origins[i] for i in order]
-    n_val = int(len(shuffled) * protocol.validation_fraction)
+    n_val = int(len(shuffled) * VALIDATION_FRACTION)
     val_origins = sorted(shuffled[:n_val])
     train_origins = sorted(shuffled[n_val:])
 
@@ -508,7 +501,7 @@ def plan_split(
         "scale_factor": spec.scale_factor,
         "patch_size": spec.patch_size,
         "overlap": spec.overlap,
-        "validation_fraction": protocol.validation_fraction,
+        "validation_fraction": VALIDATION_FRACTION,
         "test_regions": [r.as_tuple() for r in protocol.test_regions],
         "exclusions": [r.as_tuple() for r in protocol.exclusions],
         "train_origins": [list(o) for o in train_origins],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import cumulative_energy, rank_at_energy, svd
-from .model import LkcaNet, NetConfig, UpsamplerSpec
+from .model import LkcaNet, NetConfig, UpsamplerSpec, he_normal
 
 # Flattening order is fixed because block-diagonal structure (unlike rank)
 # depends on it.
@@ -114,13 +114,11 @@ def choose_groups(
     return max(below) if below else min(valid)
 
 
-def analyze_upsampler(
-    model: LkcaNet,
-    layer: str = "upsampler",
-    thresholds=(0.90, 0.95, 0.99),
-    candidates=(2, 4, 8, 16),
-    default_groups: int = 8,
-) -> RankReport:
+# Energy fractions the report gives the rank at.
+RANK_THRESHOLDS = (0.90, 0.95, 0.99)
+
+
+def analyze_upsampler(model: LkcaNet, layer: str = "upsampler") -> RankReport:
     """SVD the named upsampling layer and summarize its spectrum.
 
     The layer must be the convolution feeding the pixel shuffle. Analysis
@@ -140,8 +138,8 @@ def analyze_upsampler(
     matrix = weights_to_matrix(model.params[name].value.astype(np.float64))
     result = svd(matrix)
     cumulative = cumulative_energy(result.sigma)
-    rank_at = {f"{t:.2f}": rank_at_energy(result.sigma, t) for t in thresholds}
-    g = choose_groups(model.config, candidates, default_groups)
+    rank_at = {f"{t:.2f}": rank_at_energy(result.sigma, t) for t in RANK_THRESHOLDS}
+    g = choose_groups(model.config)
     grouped = UpsamplerSpec(spec.in_channels, spec.out_channels, spec.kernel, g)
     return RankReport(
         layer=layer,
@@ -187,9 +185,7 @@ def build_grouped(
     assert spec.param_count() * groups == full.param_count()
 
     if init == "random":
-        rng = rng or np.random.default_rng(0)
-        std = np.sqrt(2.0 / ((c_in // groups) * k * k))
-        gw = (rng.standard_normal(spec.weight_shape) * std).astype(w.dtype)
+        gw = he_normal(rng or np.random.default_rng(0), spec.weight_shape, w.dtype)
     elif init == "svd_blocks":
         gw = np.empty(spec.weight_shape, dtype=w.dtype)
         for b, rows, cins in _group_slices(spec, groups):

@@ -11,8 +11,9 @@ shared weights are safe; training mutates parameters single-writer.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -83,7 +84,6 @@ class NetConfig:
     ca_reduction: int = 16
     upsampler_groups: int = 1
     drop_path_rate: float = 0.1
-    block_out_projection: bool = True
 
     def __post_init__(self):
         c = self.feature_channels
@@ -127,35 +127,63 @@ class NetConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "NetConfig":
+        """Inverse of :meth:`to_dict`; every field must be present.
+
+        Older headers store ``block_out_projection: true``; every block now
+        has its output projection, so ``true`` is dropped and ``false``
+        rejected.
+        """
         d = dict(d)
+        if d.pop("block_out_projection", True) is not True:
+            raise ValueError("block_out_projection=false is not supported: every block has an output projection")
+        names = {f.name for f in fields(NetConfig)}
+        unknown, missing = sorted(d.keys() - names), sorted(names - d.keys())
+        if unknown or missing:
+            raise ValueError(f"bad network config: unknown keys {unknown}, missing keys {missing}")
         d["kernel_sizes"] = tuple(d["kernel_sizes"])
         d["dilations"] = tuple(d["dilations"])
         return NetConfig(**d)
 
 
 # ---------------------------------------------------------------------------
-# Parameter accounting (pure config arithmetic, no model construction)
+# The layer table: the one description of the network's layout
 # ---------------------------------------------------------------------------
+
+
+def layer_shapes(config: NetConfig) -> dict[str, dict[str, tuple[int, ...]]]:
+    """Every layer's parameter shapes, in construction and checkpoint order.
+
+    The model builds its parameters from this table, and the parameter and
+    FLOP counts are sums over it, so the three cannot disagree.
+    """
+    b, c = config.bands, config.feature_channels
+    k1, k2 = config.kernel_sizes
+    hidden = 3 * c // config.ca_reduction
+    table: dict[str, dict[str, tuple[int, ...]]] = {"head": {"weight": (c, b, 3, 3), "bias": (c,)}}
+    for i in range(config.num_blocks):
+        p = f"blocks.{i}."
+        table[p + "norm"] = {"gamma": (c,), "beta": (c,)}
+        table[p + "proj_in"] = {"weight": (c, c, 1, 1), "bias": (c,)}
+        table[p + "dw1"] = {"weight": (c, 1, k1, k1), "bias": (c,)}
+        table[p + "dw2"] = {"weight": (c, 1, k2, k2), "bias": (c,)}
+        table[p + "ca"] = {
+            "fc1.weight": (hidden, 3 * c),
+            "fc1.bias": (hidden,),
+            "fc2.weight": (3 * c, hidden),
+            "fc2.bias": (3 * c,),
+        }
+        table[p + "fuse"] = {"weight": (c, 3 * c // config.lkca_groups, 1, 1), "bias": (c,)}
+        table[p + "proj_out"] = {"weight": (c, c, 1, 1), "bias": (c,)}
+    table["upsampler"] = {"weight": config.upsampler_spec().weight_shape}
+    return table
 
 
 def param_breakdown(config: NetConfig) -> dict[str, int]:
     """Exact scalar-parameter count per named layer."""
-    b, c, k = config.bands, config.feature_channels, 3
-    k1, k2 = config.kernel_sizes
-    out: dict[str, int] = {"head": b * c * k * k + c}
-    for i in range(config.num_blocks):
-        p = f"blocks.{i}."
-        out[p + "norm"] = 2 * c
-        out[p + "proj_in"] = c * c + c
-        out[p + "dw1"] = c * k1 * k1 + c
-        out[p + "dw2"] = c * k2 * k2 + c
-        hidden = 3 * c // config.ca_reduction
-        out[p + "ca"] = (3 * c * hidden + hidden) + (hidden * 3 * c + 3 * c)
-        out[p + "fuse"] = 3 * c * c // config.lkca_groups + c
-        if config.block_out_projection:
-            out[p + "proj_out"] = c * c + c
-    out["upsampler"] = config.upsampler_spec().param_count()
-    return out
+    return {
+        layer: sum(math.prod(shape) for shape in shapes.values())
+        for layer, shapes in layer_shapes(config).items()
+    }
 
 
 def param_count(config: NetConfig) -> int:
@@ -166,24 +194,17 @@ def flops_breakdown(config: NetConfig, input_h: int, input_w: int) -> dict[str, 
     """FLOPs (multiply-accumulates x 2) per layer for one LR input of the
     given size.
 
-    Only convolution and linear-layer MACs are counted; elementwise
-    activations, normalization, pooling, and the bicubic skip are excluded.
+    Only convolution and linear-layer MACs are counted: a conv weight once
+    per LR pixel, a linear (channel-attention) weight once per input.
+    Elementwise activations, normalization, pooling, and the bicubic skip
+    are excluded, so layers without a weight have no entry.
     """
-    b, c = config.bands, config.feature_channels
-    k1, k2 = config.kernel_sizes
     hw = input_h * input_w
-    out: dict[str, int] = {"head": 2 * 9 * b * c * hw}
-    for i in range(config.num_blocks):
-        p = f"blocks.{i}."
-        out[p + "proj_in"] = 2 * c * c * hw
-        out[p + "dw1"] = 2 * c * k1 * k1 * hw
-        out[p + "dw2"] = 2 * c * k2 * k2 * hw
-        hidden = 3 * c // config.ca_reduction
-        out[p + "ca"] = 2 * (3 * c * hidden) * 2
-        out[p + "fuse"] = 2 * (3 * c) * c // config.lkca_groups * hw
-        if config.block_out_projection:
-            out[p + "proj_out"] = 2 * c * c * hw
-    out["upsampler"] = 2 * 9 * c * config.upsampler_out // config.upsampler_groups * hw
+    out: dict[str, int] = {}
+    for layer, shapes in layer_shapes(config).items():
+        weights = [shape for name, shape in shapes.items() if name.endswith("weight")]
+        if weights:
+            out[layer] = sum(2 * math.prod(s) * (hw if len(s) == 4 else 1) for s in weights)
     return out
 
 
@@ -196,14 +217,10 @@ def flops_estimate(config: NetConfig, input_h: int, input_w: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _he_conv(rng, cout, cin_g, k, dtype):
-    std = np.sqrt(2.0 / (cin_g * k * k))
-    return (rng.standard_normal((cout, cin_g, k, k)) * std).astype(dtype)
-
-
-def _he_linear(rng, cout, cin, dtype):
-    std = np.sqrt(2.0 / cin)
-    return (rng.standard_normal((cout, cin)) * std).astype(dtype)
+def he_normal(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """He-normal weights: std sqrt(2 / fan_in), fan-in = prod(shape[1:])."""
+    std = np.sqrt(2.0 / math.prod(shape[1:]))
+    return (rng.standard_normal(shape) * std).astype(dtype)
 
 
 class LkcaNet:
@@ -218,40 +235,17 @@ class LkcaNet:
         self.config = config
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        b, c = config.bands, config.feature_channels
-        k1, k2 = config.kernel_sizes
-
-        p: dict[str, Var] = {}
-
-        def param(name, value):
-            p[name] = Var(value, name=name)
-
-        param("head.weight", _he_conv(rng, c, b, 3, self.dtype))
-        param("head.bias", np.zeros(c, dtype=self.dtype))
-        for i in range(config.num_blocks):
-            pre = f"blocks.{i}."
-            param(pre + "norm.gamma", np.ones(c, dtype=self.dtype))
-            param(pre + "norm.beta", np.zeros(c, dtype=self.dtype))
-            param(pre + "proj_in.weight", _he_conv(rng, c, c, 1, self.dtype))
-            param(pre + "proj_in.bias", np.zeros(c, dtype=self.dtype))
-            param(pre + "dw1.weight", _he_conv(rng, c, 1, k1, self.dtype))
-            param(pre + "dw1.bias", np.zeros(c, dtype=self.dtype))
-            param(pre + "dw2.weight", _he_conv(rng, c, 1, k2, self.dtype))
-            param(pre + "dw2.bias", np.zeros(c, dtype=self.dtype))
-            hidden = 3 * c // config.ca_reduction
-            param(pre + "ca.fc1.weight", _he_linear(rng, hidden, 3 * c, self.dtype))
-            param(pre + "ca.fc1.bias", np.zeros(hidden, dtype=self.dtype))
-            param(pre + "ca.fc2.weight", _he_linear(rng, 3 * c, hidden, self.dtype))
-            param(pre + "ca.fc2.bias", np.zeros(3 * c, dtype=self.dtype))
-            param(pre + "fuse.weight", _he_conv(rng, c, 3 * c // config.lkca_groups, 1, self.dtype))
-            param(pre + "fuse.bias", np.zeros(c, dtype=self.dtype))
-            if config.block_out_projection:
-                param(pre + "proj_out.weight", _he_conv(rng, c, c, 1, self.dtype))
-                param(pre + "proj_out.bias", np.zeros(c, dtype=self.dtype))
-        spec = config.upsampler_spec()
-        param("upsampler.weight", _he_conv(rng, spec.out_channels, c // spec.groups, 3, self.dtype))
-
-        self.params = p
+        self.params: dict[str, Var] = {}
+        for layer, shapes in layer_shapes(config).items():
+            for pname, shape in shapes.items():
+                if pname.endswith("weight"):
+                    value = he_normal(rng, shape, self.dtype)
+                elif pname == "gamma":
+                    value = np.ones(shape, dtype=self.dtype)
+                else:
+                    value = np.zeros(shape, dtype=self.dtype)
+                name = f"{layer}.{pname}"
+                self.params[name] = Var(value, name=name)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -306,7 +300,7 @@ class LkcaNet:
 
     def lkb_forward(self, x: Var, block: int = 0, training: bool = False, rng=None) -> Var:
         """One residual block: LN -> 1x1 conv -> GELU -> attention unit
-        [-> 1x1 conv] -> drop path -> residual add."""
+        -> 1x1 conv -> drop path -> residual add."""
         cfg = self.config
         p = self.params
         pre = f"blocks.{block}."
@@ -314,8 +308,7 @@ class LkcaNet:
         t = ops.conv2d(t, p[pre + "proj_in.weight"], p[pre + "proj_in.bias"])
         t = ops.gelu(t)
         t = self.lkca_forward(t, block)
-        if cfg.block_out_projection:
-            t = ops.conv2d(t, p[pre + "proj_out.weight"], p[pre + "proj_out.bias"])
+        t = ops.conv2d(t, p[pre + "proj_out.weight"], p[pre + "proj_out.bias"])
         t = ops.drop_path(t, cfg.drop_path_rate, rng, training)
         return ops.add(x, t)
 

@@ -34,9 +34,6 @@ class TrainConfig:
     initial_lr: float = 2e-3
     final_lr: float = 2e-4
     schedule: str = "cosine"  # or "step"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -69,6 +66,10 @@ class DistillConfig:
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     step: int = 0
@@ -81,9 +82,6 @@ def adam_step(
     state: AdamState,
     lr: float,
     *,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     grad_clip: float | None = None,
 ) -> None:
     """One bias-corrected adaptive-moment update over a parameter dict.
@@ -109,8 +107,8 @@ def adam_step(
 
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, g in grads.items():
         p = params[name]
         m = state.m.get(name)
@@ -118,13 +116,13 @@ def adam_step(
         if m is None:
             m = np.zeros_like(p.value)
             v = np.zeros_like(p.value)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
         mhat = m / bc1
         vhat = v / bc2
-        p.value = p.value - (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.value.dtype)
+        p.value = p.value - (lr * mhat / (np.sqrt(vhat) + EPS)).astype(p.value.dtype)
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
@@ -227,15 +225,7 @@ def _fit(
             model.zero_grad()
             backward(loss)
             try:
-                adam_step(
-                    model.params,
-                    state,
-                    lr,
-                    beta1=cfg.beta1,
-                    beta2=cfg.beta2,
-                    eps=cfg.eps,
-                    grad_clip=cfg.grad_clip,
-                )
+                adam_step(model.params, state, lr, grad_clip=cfg.grad_clip)
             except NonFiniteGradientError as exc:
                 diverged = f"{exc} in epoch {epoch}"
                 break

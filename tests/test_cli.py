@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ SPLIT_FLAGS = [
     "--dataset", "custom", "--regions", "[[0, 0, 16, 32]]", "--scale", "2",
     "--patch-size", "8", "--overlap", "4",
 ]
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint, passing its header's network config through ``edit``."""
+    blob = src.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16 : 16 + hlen])
+    edit(header["config"])
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(blob[:12] + struct.pack("<I", len(new)) + new + blob[16 + hlen :])
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +341,33 @@ class TestAnalyzeAndApproximate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda c: c.update(bogus=1), "bogus"),
+            (lambda c: c.pop("bands"), "bands"),
+            (lambda c: c.update(block_out_projection=False), "block_out_projection"),
+        ],
+        ids=["unknown_key", "missing_key", "no_out_projection"],
+    )
+    def test_bad_header_config_is_validation_error(self, workspace, tmp_path, capsys, edit, named):
+        bad = tmp_path / "bad.lkca"
+        rewrite_header(workspace / "init.lkca", bad, edit)
+        assert run("analyze-rank", "--checkpoint", str(bad)) == 3
+        assert named in capsys.readouterr().err
+
+    def test_older_header_loads(self, workspace, tmp_path):
+        # Headers written before the output projection became unconditional
+        # store block_out_projection: true.
+        old = tmp_path / "old.lkca"
+        rewrite_header(workspace / "init.lkca", old, lambda c: c.update(block_out_projection=True))
+        assert run("analyze-rank", "--checkpoint", str(old)) == 0
+        a, _ = load_checkpoint(old)
+        b, _ = load_checkpoint(workspace / "init.lkca")
+        assert a.config == b.config
+        for k in a.state_arrays():
+            assert np.array_equal(a.state_arrays()[k], b.state_arrays()[k])
+
     def test_approximate_rewrites_upsampler(self, workspace, tmp_path, capsys):
         out = tmp_path / "grouped.lkca"
         assert (
@@ -471,6 +509,24 @@ class TestUsageAndHelp:
         for k in a.state_arrays():
             assert np.array_equal(a.state_arrays()[k], b.state_arrays()[k])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[[*cmd, flag, "1"] for cmd in (
+                ["cube", "info", "c.hsc"],
+                ["cube", "convert", "a.npy", "b.hsc"],
+                ["analyze-rank", "--checkpoint", "m.lkca"],
+                ["eval", "--split", "s"],
+            ) for flag in ("--seed", "--config")],
+            ["approximate", "--checkpoint", "m.lkca", "--groups", "2", "--out", "g.lkca", "--config", "1"],
+            ["bench", "--bands", "4", "--scale", "2", "--seed", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_unread_common_flags_rejected(self, capsys, argv):
+        assert run(*argv) == 2
+        assert f"unrecognized arguments: {argv[-2]} 1" in capsys.readouterr().err
+
     def test_missing_subcommand_exits_two(self, capsys):
         assert run() == 2
 
@@ -481,3 +537,14 @@ class TestUsageAndHelp:
         text = capsys.readouterr().out
         assert "default" in text
         assert "--seed" in text
+
+    def test_distill_help_names_teacher_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["distill", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default 128)" not in text
+        assert "(default 16)" not in text
+        assert "feature channels C (default the teacher's)" in text
+        assert "number of attention blocks (default half the teacher's, at least 1)" in text
+        assert "upsampler groups; 1 = full convolution (default 1)" in text
