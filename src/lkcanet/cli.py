@@ -45,6 +45,8 @@ from .model import (
     save_checkpoint,
 )
 from .train import (
+    KD_TARGETS,
+    SCHEDULES,
     DistillConfig,
     NonFiniteGradientError,
     TrainConfig,
@@ -58,47 +60,106 @@ _NUMERIC_ERRORS = (NonFiniteGradientError, SvdConvergenceError, FloatingPointErr
 # Variables that set the BLAS thread count, recorded in every manifest.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Model flags: value type, built-in default, help text.
-_MODEL_FLAGS = {
-    "channels": (int, 128, "feature channels C"),
-    "blocks": (int, 16, "number of attention blocks"),
-    "k1": (int, 5, "first depthwise kernel size"),
-    "k2": (int, 7, "second depthwise kernel size"),
-    "d1": (int, 5, "first dilation rate"),
-    "d2": (int, 7, "second dilation rate"),
-    "lkca_groups": (int, 4, "groups of the 1x1 fusion conv"),
-    "ca_reduction": (int, 16, "channel-attention reduction"),
-    "groups": (int, 1, "upsampler groups; 1 = full convolution"),
-    "drop_path": (float, 0.1, "stochastic-depth rate during training"),
+# The flags of the settings commands resolve, by help section:
+# key -> (type or choices, help). Each command's --help appends its default.
+_FLAGS = {
+    None: {
+        "seed": (int, "random seed for every stochastic step"),
+        "patch_size": (int, "HR patch size"),
+        "overlap": (int, "HR patch overlap"),
+    },
+    "model": {
+        "channels": (int, "feature channels C"),
+        "blocks": (int, "number of attention blocks"),
+        "k1": (int, "first depthwise kernel size"),
+        "k2": (int, "second depthwise kernel size"),
+        "d1": (int, "first dilation rate"),
+        "d2": (int, "second dilation rate"),
+        "lkca_groups": (int, "groups of the 1x1 fusion conv"),
+        "ca_reduction": (int, "channel-attention reduction"),
+        "groups": (int, "upsampler groups; 1 = full convolution"),
+        "drop_path": (float, "stochastic-depth rate during training"),
+    },
+    "training": {
+        "epochs": (int, "training epochs"),
+        "batch_size": (int, "patches per step"),
+        "lr": (float, "initial learning rate"),
+        "final_lr": (float, "final learning rate"),
+        "schedule": (SCHEDULES, "learning-rate schedule"),
+        "grad_clip": (float, "global-norm gradient clip"),
+    },
+    "distillation": {
+        "alpha": (float, "initial distillation weight"),
+        "decay_factor": (float, "distillation decay factor d"),
+        "decay_every": (int, "epochs per decay step f"),
+        "kd_target": (KD_TARGETS, "alignment tensor"),
+    },
 }
-MODEL_DEFAULTS = {key: default for key, (_, default, _) in _MODEL_FLAGS.items()}
-# The defaults ``distill --help`` names: the student takes the teacher's
+
+# Settings a library object takes: key -> (owner, field). The model's
+# kernel sizes and dilations are pairs, set by k1/k2 and d1/d2.
+_OWNED = {
+    "channels": (NetConfig, "feature_channels"),
+    "blocks": (NetConfig, "num_blocks"),
+    "lkca_groups": (NetConfig, "lkca_groups"),
+    "ca_reduction": (NetConfig, "ca_reduction"),
+    "groups": (NetConfig, "upsampler_groups"),
+    "drop_path": (NetConfig, "drop_path_rate"),
+    "epochs": (TrainConfig, "epochs"),
+    "seed": (TrainConfig, "seed"),
+    "batch_size": (TrainConfig, "batch_size"),
+    "lr": (TrainConfig, "initial_lr"),
+    "final_lr": (TrainConfig, "final_lr"),
+    "schedule": (TrainConfig, "schedule"),
+    "grad_clip": (TrainConfig, "grad_clip"),
+    **{name: (LossWeights, name) for name in ("lam1", "lam2", "lam3", "lam4", "lam5", "alpha")},
+    "decay_factor": (DecaySchedule, "factor"),
+    "decay_every": (DecaySchedule, "every"),
+    "kd_target": (DistillConfig, "kd_target"),
+}
+
+
+def _taken(owner, source) -> dict:
+    """The settings ``owner`` takes, as ``source`` holds them; ``owner``
+    itself holds the defaults, as a dataclass keeps them as class attributes."""
+    return {key: getattr(source, name) for key, (o, name) in _OWNED.items()
+            if o is owner and hasattr(source, name)}
+
+
+def _build(owner, settings: dict, **given):
+    """An ``owner`` built from the settings it takes."""
+    return owner(**{name: settings[key] for key, (o, name) in _OWNED.items() if o is owner}, **given)
+
+
+def _model_config(settings: dict, bands: int, scale: int) -> NetConfig:
+    return _build(NetConfig, settings, bands=bands, scale_factor=scale,
+                  kernel_sizes=(settings["k1"], settings["k2"]), dilations=(settings["d1"], settings["d2"]))
+
+
+def _model_settings(config) -> dict:
+    """Inverse of :func:`_model_config`; of ``NetConfig`` itself, the defaults."""
+    (k1, k2), (d1, d2) = config.kernel_sizes, config.dilations
+    return {**_taken(NetConfig, config), "k1": k1, "k2": k2, "d1": d1, "d2": d2}
+
+
+MODEL_DEFAULTS = _model_settings(NetConfig)
+# The library has no default number of epochs; the CLI's is 10.
+_TRAIN_DEFAULTS = {"epochs": 10, **_taken(TrainConfig, TrainConfig)}
+_DISTILL_DEFAULTS = {**_taken(LossWeights, LossWeights), **_taken(DecaySchedule, DecaySchedule),
+                     **_taken(DistillConfig, DistillConfig)}
+# What ``distill --help`` names: the student takes the teacher's
 # architecture at half its depth, with a full upsampler.
-_STUDENT_DEFAULTS = {
+_STUDENT_SHOWN = {
     **{key: "the teacher's" for key in MODEL_DEFAULTS},
     "blocks": "half the teacher's, at least 1",
     "groups": MODEL_DEFAULTS["groups"],
 }
-
-TRAIN_DEFAULTS = {
-    "epochs": 10,
-    "batch_size": 8,
-    "lr": 2e-3,
-    "final_lr": 2e-4,
-    "schedule": "cosine",
-    "grad_clip": None,
-}
-
-DISTILL_DEFAULTS = {
-    "alpha": 0.01,
-    "decay_factor": 0.66,
-    "decay_every": 10,
-    "kd_target": "post_shuffle",
-    "lam1": 0.5,
-    "lam2": 0.1,
-    "lam3": 0.5,
-    "lam4": 0.5,
-    "lam5": 0.1,
+# Keys a --config file may hold: every setting a command resolves, and every
+# other key that a run manifest or a split.json records.
+_CONFIG_KEYS = {
+    *(key for flags in _FLAGS.values() for key in flags), *_OWNED, "dataset", "scale", "bands",
+    "name", "layer", "init", "model", "test_regions", "exclusions", "cube_shape", "scale_factor",
+    "validation_fraction", "train_origins", "val_origins", "cube_path", "crop_shape", "test_files",
 }
 
 
@@ -112,16 +173,18 @@ def _load_config_file(path: str | None) -> dict:
     # A run manifest doubles as a config file: replaying it reproduces the run.
     if "resolved_config" in cfg:
         cfg = cfg["resolved_config"]
+    unknown = sorted(cfg.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: no command reads the config key(s) {unknown}")
     return cfg
 
 
-def _resolve(ns: argparse.Namespace, defaults: dict, file_cfg: dict) -> dict:
-    """Precedence: explicit flag > config file > built-in default."""
-    out = {}
-    for key, default in defaults.items():
-        flag = getattr(ns, key, None)
-        out[key] = flag if flag is not None else file_cfg.get(key, default)
-    return out
+def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
+    """Each setting's value: its flag, else the ``--config`` file's, else its
+    default, where None means there is none. A run's manifest records exactly
+    this, so that feeding the manifest back through ``--config`` replays it."""
+    file_cfg = _load_config_file(getattr(ns, "config", None))
+    return {key: getattr(ns, key, file_cfg.get(key, default)) for key, default in defaults.items()}
 
 
 def _environment() -> dict:
@@ -147,46 +210,6 @@ def _write_manifest(path: Path, command: str, resolved: dict, inputs: list, outp
         "environment": _environment(),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _model_config(resolved: dict, bands: int, scale: int) -> NetConfig:
-    return NetConfig(
-        bands=bands,
-        scale_factor=scale,
-        feature_channels=resolved["channels"],
-        num_blocks=resolved["blocks"],
-        kernel_sizes=(resolved["k1"], resolved["k2"]),
-        dilations=(resolved["d1"], resolved["d2"]),
-        lkca_groups=resolved["lkca_groups"],
-        ca_reduction=resolved["ca_reduction"],
-        upsampler_groups=resolved["groups"],
-        drop_path_rate=resolved["drop_path"],
-    )
-
-
-def _train_config(resolved: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        seed=seed,
-        initial_lr=resolved["lr"],
-        final_lr=resolved["final_lr"],
-        schedule=resolved["schedule"],
-        grad_clip=resolved["grad_clip"],
-    )
-
-
-def _distill_config(resolved: dict) -> DistillConfig:
-    weights = LossWeights(
-        lam1=resolved["lam1"],
-        lam2=resolved["lam2"],
-        lam3=resolved["lam3"],
-        lam4=resolved["lam4"],
-        lam5=resolved["lam5"],
-        alpha=resolved["alpha"],
-    )
-    decay = DecaySchedule(factor=resolved["decay_factor"], every=resolved["decay_every"])
-    return DistillConfig(weights=weights, decay=decay, kd_target=resolved["kd_target"])
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +309,24 @@ def _cmd_cube_convert(ns) -> int:
 
 
 def _cmd_prepare(ns) -> int:
-    file_cfg = _load_config_file(ns.config)
     # 64/32 at r=4 and 128/64 at r=8: HR patch geometry scales with r.
-    defaults = {"patch_size": 16 * ns.scale, "overlap": 8 * ns.scale}
-    resolved = _resolve(ns, defaults, file_cfg)
+    settings = _resolve(ns, {"dataset": None, "scale": None, "patch_size": 16 * ns.scale,
+                             "overlap": 8 * ns.scale, "seed": TrainConfig.seed})
     cube = read_cube(ns.cube)
     if ns.dataset == "custom":
-        regions = file_cfg.get("test_regions") if ns.regions is None else json.loads(ns.regions)
+        regions = (json.loads(ns.regions) if ns.regions is not None
+                   else _load_config_file(ns.config).get("test_regions"))
         if not regions:
             raise ValueError("custom dataset needs --regions or test_regions in --config")
         protocol = custom_protocol([tuple(r) for r in regions])
     else:
         protocol = named_protocol(ns.dataset)
-    spec = PatchSpec(resolved["patch_size"], resolved["overlap"], ns.scale)
-    _, test, manifest = plan_split(cube, protocol, spec, seed=ns.seed)
+    spec = PatchSpec(settings["patch_size"], settings["overlap"], ns.scale)
+    _, test, manifest = plan_split(cube, protocol, spec, seed=settings["seed"])
     if protocol.expected_shape is not None:
         manifest["crop_shape"] = list(protocol.expected_shape)
     outputs = _save_split(test, manifest, Path(ns.out), ns.cube)
-    resolved.update({"dataset": ns.dataset, "scale": ns.scale, "seed": ns.seed})
-    _write_manifest(Path(ns.out) / "prepare.manifest.json", "prepare", resolved, [ns.cube], outputs)
+    _write_manifest(Path(ns.out) / "prepare.manifest.json", "prepare", settings, [ns.cube], outputs)
     print(
         f"prepared {ns.dataset} split: {len(manifest['train_origins'])} train / "
         f"{len(manifest['val_origins'])} val patches, {len(test)} test regions -> {ns.out}"
@@ -312,7 +334,7 @@ def _cmd_prepare(ns) -> int:
     return 0
 
 
-def _finish_fit(ns, command: str, resolved: dict, result, metadata: dict, inputs: list) -> int:
+def _finish_fit(ns, command: str, settings: dict, result, metadata: dict, inputs: list) -> int:
     """Save what a train or distill run produced: checkpoint, log, manifest.
 
     A diverged run keeps its last finite state, is reported on stderr and
@@ -322,8 +344,8 @@ def _finish_fit(ns, command: str, resolved: dict, result, metadata: dict, inputs
         print(f"warning: {command} diverged ({result.diverged}); "
               "checkpoint holds the last finite state", file=sys.stderr)
     metadata = {
-        "epochs": resolved["epochs"],
-        "seed": ns.seed,
+        "epochs": settings["epochs"],
+        "seed": settings["seed"],
         **metadata,
         "best_epoch": result.best_epoch,
         "best_val_mpsnr": result.best_val_mpsnr,
@@ -335,63 +357,52 @@ def _finish_fit(ns, command: str, resolved: dict, result, metadata: dict, inputs
             for entry in result.history:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
         outputs.append(ns.log)
-    resolved["seed"] = ns.seed
-    _write_manifest(Path(str(ns.out) + ".manifest.json"), command, resolved, inputs, outputs)
+    _write_manifest(Path(str(ns.out) + ".manifest.json"), command, settings, inputs, outputs)
     tail = result.history[-1] if result.history else {}
-    print(f"{command}: {resolved['epochs']} epochs -> {ns.out} (last: {json.dumps(tail, sort_keys=True)})")
+    print(f"{command}: {settings['epochs']} epochs -> {ns.out} (last: {json.dumps(tail, sort_keys=True)})")
     return 4 if result.diverged else 0
 
 
 def _cmd_train(ns) -> int:
-    file_cfg = _load_config_file(ns.config)
-    resolved = _resolve(ns, {**MODEL_DEFAULTS, **TRAIN_DEFAULTS}, file_cfg)
+    settings = _resolve(ns, {**MODEL_DEFAULTS, **_TRAIN_DEFAULTS})
     split = load_split(ns.split)
     bands = split.test[0].bands if split.test else split.train[0].hr.shape[0]
-    scale = split.manifest["scale_factor"]
-    config = _model_config(resolved, bands, scale)
-    model = LkcaNet(config, seed=ns.seed)
-    result = train(model, split, _train_config(resolved, ns.seed))
+    config = _model_config(settings, bands, split.manifest["scale_factor"])
+    model = LkcaNet(config, seed=settings["seed"])
+    result = train(model, split, _build(TrainConfig, settings))
     metadata = {"loss_weights": vars(LossWeights())}
-    return _finish_fit(ns, "train", resolved, result, metadata, [ns.split])
+    return _finish_fit(ns, "train", settings, result, metadata, [ns.split])
 
 
 def _cmd_distill(ns) -> int:
-    file_cfg = _load_config_file(ns.config)
     split = load_split(ns.split)
     teacher, _ = load_checkpoint(ns.teacher)
     tcfg = teacher.config
     # The student inherits the teacher's architecture at half the depth
     # unless flags or the config file say otherwise.
-    student_defaults = {
-        "channels": tcfg.feature_channels,
+    student = {
+        **_model_settings(tcfg),
         "blocks": max(1, tcfg.num_blocks // 2),
-        "k1": tcfg.kernel_sizes[0],
-        "k2": tcfg.kernel_sizes[1],
-        "d1": tcfg.dilations[0],
-        "d2": tcfg.dilations[1],
-        "lkca_groups": tcfg.lkca_groups,
-        "ca_reduction": tcfg.ca_reduction,
         "groups": MODEL_DEFAULTS["groups"],
-        "drop_path": tcfg.drop_path_rate,
     }
-    resolved = _resolve(ns, {**student_defaults, **TRAIN_DEFAULTS, **DISTILL_DEFAULTS}, file_cfg)
-    student_blocks = resolved["blocks"]
-    if student_blocks >= tcfg.num_blocks:
+    settings = _resolve(ns, {**student, **_TRAIN_DEFAULTS, **_DISTILL_DEFAULTS})
+    if settings["blocks"] >= tcfg.num_blocks:
         raise ValueError(
             f"student must be shallower than the teacher ({tcfg.num_blocks} blocks); "
-            f"got --blocks {student_blocks}"
+            f"got --blocks {settings['blocks']}"
         )
-    config = _model_config(resolved, tcfg.bands, tcfg.scale_factor)
-    student = LkcaNet(config, seed=ns.seed)
-    dcfg = _distill_config(resolved)
-    result = distill(teacher, student, split, _train_config(resolved, ns.seed), dcfg)
+    config = _model_config(settings, tcfg.bands, tcfg.scale_factor)
+    dcfg = _build(DistillConfig, settings, weights=_build(LossWeights, settings),
+                  decay=_build(DecaySchedule, settings))
+    result = distill(teacher, LkcaNet(config, seed=settings["seed"]), split,
+                     _build(TrainConfig, settings), dcfg)
     metadata = {
         "teacher": str(ns.teacher),
         "loss_weights": vars(dcfg.weights),
         "decay": vars(dcfg.decay),
         "kd_target": dcfg.kd_target,
     }
-    return _finish_fit(ns, "distill", resolved, result, metadata, [ns.split, ns.teacher])
+    return _finish_fit(ns, "distill", settings, result, metadata, [ns.split, ns.teacher])
 
 
 def _cmd_analyze_rank(ns) -> int:
@@ -417,31 +428,21 @@ def _cmd_analyze_rank(ns) -> int:
 
 
 def _cmd_approximate(ns) -> int:
+    settings = _resolve(ns, {"groups": None, "init": None, "seed": TrainConfig.seed})
     model, metadata = load_checkpoint(ns.checkpoint)
     if model.config.upsampler_groups != 1:
         raise ValueError(
             f"checkpoint upsampler is already {model.config.upsampler_spec().kind}"
         )
-    rng = np.random.default_rng(ns.seed)
+    rng = np.random.default_rng(settings["seed"])
     spec, weights = build_grouped(
         model.params["upsampler.weight"].value, ns.groups, init=ns.init, rng=rng
     )
-    new_config = model.config.with_upsampler_groups(ns.groups)
-    grouped = LkcaNet(new_config, seed=ns.seed)
-    state = model.state_arrays()
-    state["upsampler.weight"] = weights
-    grouped.load_state(state)
-    metadata = dict(metadata)
-    metadata["approximated_from"] = str(ns.checkpoint)
-    metadata["upsampler_init"] = ns.init
+    state = {**model.state_arrays(), "upsampler.weight": weights}
+    grouped = LkcaNet.from_state(model.config.with_upsampler_groups(ns.groups), state)
+    metadata = {**metadata, "approximated_from": str(ns.checkpoint), "upsampler_init": ns.init}
     save_checkpoint(grouped, ns.out, metadata)
-    _write_manifest(
-        Path(str(ns.out) + ".manifest.json"),
-        "approximate",
-        {"groups": ns.groups, "init": ns.init, "seed": ns.seed},
-        [ns.checkpoint],
-        [ns.out],
-    )
+    _write_manifest(Path(str(ns.out) + ".manifest.json"), "approximate", settings, [ns.checkpoint], [ns.out])
     print(
         f"rewrote upsampler to {spec.kind}: {spec.param_count() * ns.groups} -> "
         f"{spec.param_count()} parameters"
@@ -489,12 +490,11 @@ def _cmd_eval(ns) -> int:
 
 
 def _cmd_bench(ns) -> int:
-    file_cfg = _load_config_file(ns.config)
-    resolved = _resolve(ns, MODEL_DEFAULTS, file_cfg)
-    bands, scale = _resolve(ns, {"bands": None, "scale": None}, file_cfg).values()
+    settings = _resolve(ns, {**MODEL_DEFAULTS, "bands": None, "scale": None})
+    bands, scale = settings["bands"], settings["scale"]
     if bands is None or scale is None:
         raise ValueError("bench needs --bands and --scale (or a --config providing them)")
-    config = _model_config(resolved, bands, scale)
+    config = _model_config(settings, bands, scale)
     try:
         h, w = (int(v) for v in ns.input_size.split("x"))
     except ValueError:
@@ -538,35 +538,24 @@ def _cmd_bench(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """``--json``, after whichever of ``--seed`` and ``--config`` the command reads."""
-    if "--seed" in flags:
-        p.add_argument("--seed", type=int, default=0, help="random seed for every stochastic step")
-    if "--config" in flags:
+def _add_common(p: argparse.ArgumentParser, config: bool = False) -> None:
+    """``--json``, after ``--config`` if the command reads one."""
+    if config:
         p.add_argument("--config", default=None, help="JSON config file (flags override it)")
     p.add_argument("--json", action="store_true", help="machine-readable output/errors")
 
 
-def _add_model_flags(p: argparse.ArgumentParser, defaults: dict = MODEL_DEFAULTS) -> None:
-    g = p.add_argument_group("model")
-    for dest, (kind, _, text) in _MODEL_FLAGS.items():
-        g.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind, default=argparse.SUPPRESS,
-                       help=f"{text} (default {defaults[dest]})")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("training")
-    g.add_argument("--epochs", type=int, default=argparse.SUPPRESS, help="training epochs (default 10)")
-    g.add_argument("--batch-size", dest="batch_size", type=int, default=argparse.SUPPRESS,
-                   help="patches per step (default 8)")
-    g.add_argument("--lr", type=float, default=argparse.SUPPRESS, help="initial learning rate (default 2e-3)")
-    g.add_argument("--final-lr", dest="final_lr", type=float, default=argparse.SUPPRESS,
-                   help="final learning rate (default 2e-4)")
-    g.add_argument("--schedule", choices=("cosine", "step"), default=argparse.SUPPRESS,
-                   help="learning-rate schedule (default cosine)")
-    g.add_argument("--grad-clip", dest="grad_clip", type=float, default=argparse.SUPPRESS,
-                   help="global-norm gradient clip (default off)")
-    g.add_argument("--log", default=None, help="JSON-lines per-epoch log path")
+def _add_settings(p: argparse.ArgumentParser, shown: dict) -> None:
+    """A flag for each setting in ``shown``, whose help names the default
+    ``shown`` gives it."""
+    for title, flags in _FLAGS.items():
+        keys = [key for key in flags if key in shown]
+        g = p.add_argument_group(title) if title and keys else p
+        for key in keys:
+            kind, text = flags[key]
+            parse = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            g.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                           help=f"{text} (default {shown[key]})", **parse)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -601,23 +590,21 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.add_argument("--dataset", required=True,
                          choices=("chikusei", "houston2018", "pavia", "custom"))
     prepare.add_argument("--scale", type=int, required=True, help="super-resolution factor r")
-    prepare.add_argument("--patch-size", dest="patch_size", type=int, default=argparse.SUPPRESS,
-                         help="HR patch size (default 16*scale: 64 at r=4, 128 at r=8)")
-    prepare.add_argument("--overlap", type=int, default=argparse.SUPPRESS,
-                         help="HR patch overlap (default 8*scale: 32 at r=4, 64 at r=8)")
     prepare.add_argument("--regions", default=None,
                          help="custom test regions as JSON [[row,col,h,w],...]")
     prepare.add_argument("--out", required=True, help="output split directory")
-    _add_common(prepare, "--seed", "--config")
+    _add_settings(prepare, {"seed": TrainConfig.seed, "patch_size": "16*scale: 64 at r=4, 128 at r=8",
+                            "overlap": "8*scale: 32 at r=4, 64 at r=8"})
+    _add_common(prepare, config=True)
     prepare.set_defaults(handler=_cmd_prepare)
 
     tr = sub.add_parser("train", help="train a model on a prepared split",
                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     tr.add_argument("--split", required=True, help="split directory from `prepare`")
     tr.add_argument("--out", required=True, help="output checkpoint path")
-    _add_model_flags(tr)
-    _add_train_flags(tr)
-    _add_common(tr, "--seed", "--config")
+    tr.add_argument("--log", default=None, help="JSON-lines per-epoch log path")
+    _add_settings(tr, {**MODEL_DEFAULTS, **_TRAIN_DEFAULTS})
+    _add_common(tr, config=True)
     tr.set_defaults(handler=_cmd_train)
 
     di = sub.add_parser("distill", help="train a student against a frozen teacher",
@@ -625,17 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("--teacher", required=True, help="teacher checkpoint")
     di.add_argument("--split", required=True)
     di.add_argument("--out", required=True)
-    di.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
-                    help="initial distillation weight (default 0.01)")
-    di.add_argument("--decay-factor", dest="decay_factor", type=float, default=argparse.SUPPRESS,
-                    help="distillation decay factor d (default 0.66)")
-    di.add_argument("--decay-every", dest="decay_every", type=int, default=argparse.SUPPRESS,
-                    help="epochs per decay step f (default 10)")
-    di.add_argument("--kd-target", dest="kd_target", choices=("post_shuffle", "reconstruction"),
-                    default=argparse.SUPPRESS, help="alignment tensor (default post_shuffle)")
-    _add_model_flags(di, _STUDENT_DEFAULTS)
-    _add_train_flags(di)
-    _add_common(di, "--seed", "--config")
+    di.add_argument("--log", default=None, help="JSON-lines per-epoch log path")
+    _add_settings(di, {**_STUDENT_SHOWN, **_TRAIN_DEFAULTS, **_DISTILL_DEFAULTS})
+    _add_common(di, config=True)
     di.set_defaults(handler=_cmd_distill)
 
     ar = sub.add_parser("analyze-rank", help="SVD the upsampler and export its spectrum",
@@ -654,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--init", choices=("random", "svd_blocks"), default="random",
                     help="grouped-weight initialization")
     ap.add_argument("--out", required=True)
-    _add_common(ap, "--seed")
+    _add_settings(ap, {"seed": TrainConfig.seed})
+    _add_common(ap)
     ap.set_defaults(handler=_cmd_approximate)
 
     ev = sub.add_parser("eval", help="score a checkpoint or baseline on test regions",
@@ -673,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--scale", type=int, default=argparse.SUPPRESS)
     be.add_argument("--input-size", dest="input_size", default="32x32",
                     help="LR input size HxW for the FLOPs column")
-    _add_model_flags(be)
-    _add_common(be, "--config")
+    _add_settings(be, MODEL_DEFAULTS)
+    _add_common(be, config=True)
     be.set_defaults(handler=_cmd_bench)
 
     return parser

@@ -76,17 +76,17 @@ def _check_pair(sr, hr):
     return a, b
 
 
-def band_psnr(sr_band: np.ndarray, hr_band: np.ndarray, peak: float = 1.0) -> float:
-    mse = float(np.mean((sr_band - hr_band) ** 2))
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return min(10.0 * np.log10(peak * peak / mse), PSNR_CAP_DB)
+def _band_mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, B) mean squared error of each band, taken a band at a time, so no
+    temporary outgrows one band."""
+    return np.array([[np.mean((x - y) ** 2) for x, y in zip(an, bn)] for an, bn in zip(a, b)])
 
 
 def mpsnr(sr, hr) -> float:
-    a, b = _check_pair(sr, hr)
+    """Mean band PSNR at peak 1, each band capped at PSNR_CAP_DB."""
     vals = [
-        band_psnr(a[n, c], b[n, c]) for n in range(a.shape[0]) for c in range(a.shape[1])
+        PSNR_CAP_DB if mse == 0.0 else min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
+        for mse in _band_mse(*_check_pair(sr, hr)).ravel()
     ]
     return float(np.mean(vals))
 
@@ -222,8 +222,7 @@ def cc(sr, hr) -> tuple[float, int]:
 
 
 def rmse(sr, hr) -> float:
-    a, b = _check_pair(sr, hr)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    return float(np.sqrt(np.mean(_band_mse(*_check_pair(sr, hr)))))
 
 
 def ergas(sr, hr, r: int, eps: float = 1e-12) -> float:
@@ -233,11 +232,9 @@ def ergas(sr, hr, r: int, eps: float = 1e-12) -> float:
     if r < 1:
         raise ValueError(f"scale factor must be >= 1, got {r}")
     a, b = _check_pair(sr, hr)
-    terms = []
-    for n in range(a.shape[0]):
-        band_rmse = np.sqrt(((a[n] - b[n]) ** 2).mean(axis=(1, 2)))
-        band_mean = b[n].mean(axis=(1, 2))
-        terms.append(np.mean((band_rmse / np.maximum(band_mean, eps)) ** 2))
+    band_rmse = np.sqrt(_band_mse(a, b))
+    band_mean = b.mean(axis=(2, 3))
+    terms = np.mean((band_rmse / np.maximum(band_mean, eps)) ** 2, axis=1)
     return float(100.0 / r * np.sqrt(np.mean(terms)))
 
 

@@ -223,6 +223,15 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.nda
     return (rng.standard_normal(shape) * std).astype(dtype)
 
 
+def _param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape by full name, in checkpoint order."""
+    return {
+        f"{layer}.{pname}": shape
+        for layer, shapes in layer_shapes(config).items()
+        for pname, shape in shapes.items()
+    }
+
+
 class LkcaNet:
     """Shallow conv, stacked attention blocks, sub-pixel upsampling head, and
     a bicubic skip connection.
@@ -236,16 +245,33 @@ class LkcaNet:
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         self.params: dict[str, Var] = {}
-        for layer, shapes in layer_shapes(config).items():
-            for pname, shape in shapes.items():
-                if pname.endswith("weight"):
-                    value = he_normal(rng, shape, self.dtype)
-                elif pname == "gamma":
-                    value = np.ones(shape, dtype=self.dtype)
-                else:
-                    value = np.zeros(shape, dtype=self.dtype)
-                name = f"{layer}.{pname}"
-                self.params[name] = Var(value, name=name)
+        for name, shape in _param_shapes(config).items():
+            if name.endswith("weight"):
+                value = he_normal(rng, shape, self.dtype)
+            elif name.endswith(".gamma"):
+                value = np.ones(shape, dtype=self.dtype)
+            else:
+                value = np.zeros(shape, dtype=self.dtype)
+            self.params[name] = Var(value, name=name)
+
+    @classmethod
+    def from_state(cls, config: NetConfig, arrays: dict[str, np.ndarray], dtype=np.float32) -> "LkcaNet":
+        """A model whose parameters are copies of ``arrays``, which must hold
+        exactly the config's names and shapes; nothing is drawn."""
+        shapes = _param_shapes(config)
+        for name in arrays:
+            if name not in shapes:
+                raise CheckpointError(f"unexpected tensor {name!r} for this config")
+        model = cls.__new__(cls)
+        model.config, model.dtype, model.params = config, np.dtype(dtype), {}
+        for name, shape in shapes.items():
+            if name not in arrays:
+                raise CheckpointError(f"missing tensor {name!r}")
+            value = np.array(arrays[name], dtype=model.dtype)
+            if value.shape != shape:
+                raise CheckpointError(f"tensor {name!r} has shape {value.shape}, config expects {shape}")
+            model.params[name] = Var(value, name=name)
+        return model
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -257,18 +283,8 @@ class LkcaNet:
         return {name: v.value for name, v in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name in arrays:
-            if name not in self.params:
-                raise CheckpointError(f"unexpected tensor {name!r} for this config")
-        for name, v in self.params.items():
-            if name not in arrays:
-                raise CheckpointError(f"missing tensor {name!r}")
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != v.value.shape:
-                raise CheckpointError(
-                    f"tensor {name!r} has shape {arr.shape}, config expects {v.value.shape}"
-                )
-            v.value = arr.copy()
+        for name, v in LkcaNet.from_state(self.config, arrays, self.dtype).params.items():
+            self.params[name].value = v.value
 
     def set_zero_weights(self) -> None:
         """Zero every parameter; the forward then reduces to the bicubic skip."""
@@ -413,20 +429,19 @@ def read_checkpoint_arrays(path) -> tuple[NetConfig, dict, dict[str, np.ndarray]
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name}: ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name}: shape"))
             (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, f"{name}: payload size"))
-            blob = _read_exact(fh, nbytes, f"{name}: payload")
-            arr = np.frombuffer(blob, dtype="<f4")
-            if arr.size != int(np.prod(shape)):
+            if nbytes != 4 * math.prod(shape):
                 raise CheckpointError(f"{path}: tensor {name!r} payload/shape mismatch")
-            arrays[name] = arr.reshape(shape).copy()
+            # Read straight into the tensor, with no bytes object in between.
+            arrays[name] = np.empty(shape, dtype="<f4")
+            if fh.readinto(memoryview(arrays[name]).cast("B")) != nbytes:
+                raise CheckpointError(f"truncated checkpoint while reading {name}: payload")
     return config, metadata, arrays
 
 
 def load_checkpoint(path) -> tuple[LkcaNet, dict]:
     """Rebuild a model from a checkpoint; forward outputs reproduce bit-exactly."""
     config, metadata, arrays = read_checkpoint_arrays(path)
-    model = LkcaNet(config)
-    model.load_state(arrays)
-    return model, metadata
+    return LkcaNet.from_state(config, arrays), metadata
 
 
 def load_weights(model: LkcaNet, path) -> dict:

@@ -26,6 +26,11 @@ class NonFiniteGradientError(RuntimeError):
     """A parameter received a NaN/Inf gradient."""
 
 
+# Learning-rate schedules, and the tensors distillation can align.
+SCHEDULES = ("cosine", "step")
+KD_TARGETS = ("post_shuffle", "reconstruction")
+
+
 @dataclass
 class TrainConfig:
     epochs: int
@@ -33,7 +38,7 @@ class TrainConfig:
     seed: int = 0
     initial_lr: float = 2e-3
     final_lr: float = 2e-4
-    schedule: str = "cosine"  # or "step"
+    schedule: str = "cosine"
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -43,7 +48,7 @@ class TrainConfig:
             raise ValueError(
                 f"final_lr {self.final_lr} must not exceed initial_lr {self.initial_lr}"
             )
-        if self.schedule not in ("cosine", "step"):
+        if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
@@ -54,10 +59,10 @@ class DistillConfig:
 
     weights: LossWeights = field(default_factory=LossWeights)
     decay: DecaySchedule = field(default_factory=DecaySchedule)
-    kd_target: str = "post_shuffle"  # or "reconstruction"
+    kd_target: str = "post_shuffle"
 
     def __post_init__(self):
-        if self.kd_target not in ("post_shuffle", "reconstruction"):
+        if self.kd_target not in KD_TARGETS:
             raise ValueError(f"unknown kd_target {self.kd_target!r}")
 
 

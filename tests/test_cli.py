@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ import scipy
 from conftest import smooth_bands
 
 from lkcanet import cli, hsi
+from lkcanet import model as model_module
 from lkcanet.cli import load_split, main
 from lkcanet.hsi import PatchSpec, build_split, custom_protocol, read_cube
-from lkcanet.model import load_checkpoint
+from lkcanet.model import NetConfig, load_checkpoint
+from lkcanet.train import DistillConfig, TrainConfig
 
 
 def run(*argv):
@@ -548,3 +551,110 @@ class TestUsageAndHelp:
         assert "feature channels C (default the teacher's)" in text
         assert "number of attention blocks (default half the teacher's, at least 1)" in text
         assert "upsampler groups; 1 = full convolution (default 1)" in text
+
+
+class TestSettings:
+    @pytest.fixture(scope="class")
+    def teacher(self, workspace):
+        path = workspace / "teacher2.lkca"
+        args = ["--split", str(workspace / "split"), "--out", str(path), "--epochs", "0"]
+        assert run("train", *args, *TINY_MODEL_FLAGS, "--blocks", "2") == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "command",
+        [["cube"], ["cube", "info"], ["cube", "convert"], ["prepare"], ["train"], ["distill"],
+         ["analyze-rank"], ["approximate"], ["eval"], ["bench"]],
+        ids=" ".join,
+    )
+    def test_help_exits_zero(self, capsys, command):
+        assert run(*command, "--help") == 0
+        assert "usage: lkcanet" in capsys.readouterr().out
+
+    def test_defaults_are_the_library_defaults(self, workspace, teacher, tmp_path, monkeypatch, capsys):
+        seen = {}
+
+        def spy(fit):
+            def wrapped(*args):
+                seen[fit.__name__] = args
+                return fit(*args)
+            return wrapped
+
+        monkeypatch.setattr(cli, "train", spy(cli.train))
+        monkeypatch.setattr(cli, "distill", spy(cli.distill))
+        split = ["--split", str(workspace / "split"), "--epochs", "0"]
+        assert run("train", *split, "--out", str(tmp_path / "t.lkca")) == 0
+        model, _, cfg = seen["train"]
+        assert model.config == NetConfig(bands=4, scale_factor=2)
+        assert cfg == TrainConfig(epochs=0)
+        assert run("distill", *split, "--teacher", str(teacher), "--out", str(tmp_path / "d.lkca")) == 0
+        t, student, _, cfg, dcfg = seen["distill"]
+        assert student.config == replace(t.config, num_blocks=1)
+        assert (cfg, dcfg) == (TrainConfig(epochs=0), DistillConfig())
+        capsys.readouterr()
+        assert run("bench", "--bands", "4", "--scale", "2", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["config"] == NetConfig(bands=4, scale_factor=2).to_dict()
+
+    def test_replayed_train_and_distill_manifests_keep_their_seed(self, workspace, teacher, tmp_path):
+        # (inputs, settings) of each run; a replay gives the inputs and the manifest.
+        runs = {
+            "train": ([], TINY_MODEL_FLAGS),
+            "distill": (["--teacher", str(teacher)], []),
+        }
+        for command, (inputs, flags) in runs.items():
+            inputs = ["--split", str(workspace / "split"), *inputs]
+            first, again = tmp_path / f"{command}_a.lkca", tmp_path / f"{command}_b.lkca"
+            args = ["--epochs", "1", "--batch-size", "4", "--seed", "5", *flags]
+            assert run(command, *inputs, *args, "--out", str(first)) == 0
+            manifest = str(first) + ".manifest.json"
+            assert json.loads(open(manifest).read())["resolved_config"]["seed"] == 5
+            assert run(command, *inputs, "--out", str(again), "--config", manifest) == 0
+            assert again.read_bytes() == first.read_bytes()
+
+    def test_replayed_prepare_manifest_keeps_its_seed(self, workspace, tmp_path):
+        cube = ["--cube", str(workspace / "cube.hsc")]
+        first = tmp_path / "a"
+        assert run("prepare", *cube, *SPLIT_FLAGS, "--seed", "3", "--out", str(first)) == 0
+        assert json.loads((first / "split.json").read_text())["seed"] == 3
+        # Both records replay: the run manifest, given the regions again, and
+        # split.json, which holds them.
+        replays = {
+            "prepare.manifest.json": ["--regions", "[[0, 0, 16, 32]]"],
+            "split.json": [],
+        }
+        for record, regions in replays.items():
+            again = tmp_path / record
+            assert run("prepare", *cube, "--dataset", "custom", "--scale", "2", *regions,
+                       "--out", str(again), "--config", str(first / record)) == 0
+            assert (again / "split.json").read_bytes() == (first / "split.json").read_bytes()
+
+    def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chanels": 8, "epochs": 0}))
+        args = ["--split", str(workspace / "split"), "--out", str(tmp_path / "m.lkca")]
+        assert run("train", *args, "--config", str(cfg)) == 3
+        assert "chanels" in capsys.readouterr().err
+        assert not (tmp_path / "m.lkca").exists()
+
+    def test_every_manifest_is_a_valid_config(self, workspace, teacher, tmp_path, capsys):
+        ckpt = str(workspace / "init.lkca")
+        assert run("analyze-rank", "--checkpoint", ckpt, "--out-json", str(tmp_path / "r.json")) == 0
+        assert run("approximate", "--checkpoint", ckpt, "--groups", "2", "--out", str(tmp_path / "g.lkca")) == 0
+        assert run("eval", "--split", str(workspace / "split"), "--checkpoint", ckpt,
+                   "--out-json", str(tmp_path / "e.json")) == 0
+        manifests = [*workspace.rglob("*.manifest.json"), *tmp_path.rglob("*.manifest.json")]
+        commands = {json.loads(m.read_text())["command"] for m in manifests}
+        assert commands == {"cube convert", "prepare", "train", "analyze-rank", "approximate", "eval"}
+        for record in [*manifests, workspace / "split" / "split.json"]:
+            assert run("bench", "--bands", "4", "--scale", "2", "--config", str(record)) == 0
+
+    def test_approximate_draws_no_weights(self, workspace, tmp_path, monkeypatch):
+        def draw(*args):
+            raise AssertionError("he_normal called")
+
+        monkeypatch.setattr(model_module, "he_normal", draw)
+        out = tmp_path / "g.lkca"
+        args = ["--checkpoint", str(workspace / "init.lkca"), "--groups", "2", "--init", "svd_blocks"]
+        assert run("approximate", *args, "--out", str(out)) == 0
+        grouped, _ = load_checkpoint(out)
+        assert grouped.config.upsampler_groups == 2

@@ -150,3 +150,17 @@ class TestOneCast:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * copy_f64 + 2**20
+
+    def test_peak_memory_under_three_quarters_of_a_third_copy(self):
+        # The cast pair is two float64 copies. RMSE and ERGAS take each
+        # band's squared difference a band at a time, so no index adds a
+        # third whole copy; SSIM's per-band stack is the largest temporary.
+        sr, hr = float32_pair((32, 256, 256))
+        copy_f64 = sr.size * 8
+        tracemalloc.start()
+        try:
+            evaluate_metrics(sr, hr, r=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * copy_f64 + 2**20

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lkcanet import model as model_module
 from lkcanet import ops
 from lkcanet.autodiff import Var, backward, no_grad
 from lkcanet.hsi import resize_bands
@@ -264,6 +265,21 @@ class TestCheckpoint:
         again, meta = load_checkpoint(path)
         assert meta == {"epoch": 3, "seed": 9}
         assert again.config == cfg
+        x = np.random.default_rng(10).random((1, 4, 6, 6), dtype=np.float32)
+        assert np.array_equal(model.predict(x), again.predict(x))
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        # A load builds the model from the stored tensors; an initializer
+        # draw would be thrown away.
+        model = LkcaNet(toy_config(), seed=9)
+        path = tmp_path / "m.lkca"
+        save_checkpoint(model, path)
+
+        def draw(*args):
+            raise AssertionError("he_normal called")
+
+        monkeypatch.setattr(model_module, "he_normal", draw)
+        again, _ = load_checkpoint(path)
         x = np.random.default_rng(10).random((1, 4, 6, 6), dtype=np.float32)
         assert np.array_equal(model.predict(x), again.predict(x))
 
