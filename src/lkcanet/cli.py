@@ -33,7 +33,7 @@ from .hsi import (
 )
 from .linalg import SvdConvergenceError
 from .losses import DecaySchedule, LossWeights
-from .lowrank import analyze_upsampler, build_grouped
+from .lowrank import GROUPED_INITS, analyze_upsampler, build_grouped
 from .metrics import MetricResult
 from .model import (
     CheckpointError,
@@ -158,7 +158,7 @@ _STUDENT_SHOWN = {
 # other key that a run manifest or a split.json records.
 _CONFIG_KEYS = {
     *(key for flags in _FLAGS.values() for key in flags), *_OWNED, "dataset", "scale", "bands",
-    "name", "layer", "init", "model", "test_regions", "exclusions", "cube_shape", "scale_factor",
+    "name", "init", "model", "test_regions", "exclusions", "cube_shape", "scale_factor",
     "validation_fraction", "train_origins", "val_origins", "cube_path", "crop_shape", "test_files",
 }
 
@@ -310,17 +310,20 @@ def _cmd_cube_convert(ns) -> int:
 
 def _cmd_prepare(ns) -> int:
     # 64/32 at r=4 and 128/64 at r=8: HR patch geometry scales with r.
-    settings = _resolve(ns, {"dataset": None, "scale": None, "patch_size": 16 * ns.scale,
-                             "overlap": 8 * ns.scale, "seed": TrainConfig.seed})
-    cube = read_cube(ns.cube)
+    if hasattr(ns, "test_regions"):  # --regions gives JSON text; a config file, the list
+        ns.test_regions = json.loads(ns.test_regions)
+    settings = _resolve(ns, {"dataset": None, "scale": None, "test_regions": None,
+                             "patch_size": 16 * ns.scale, "overlap": 8 * ns.scale, "seed": TrainConfig.seed})
     if ns.dataset == "custom":
-        regions = (json.loads(ns.regions) if ns.regions is not None
-                   else _load_config_file(ns.config).get("test_regions"))
-        if not regions:
+        if not settings["test_regions"]:
             raise ValueError("custom dataset needs --regions or test_regions in --config")
-        protocol = custom_protocol([tuple(r) for r in regions])
+        protocol = custom_protocol(settings["test_regions"])
     else:
         protocol = named_protocol(ns.dataset)
+        # A named split's own split.json replays; other regions would be ignored.
+        if settings["test_regions"] not in (None, [list(r.as_tuple()) for r in protocol.test_regions]):
+            raise ValueError(f"{ns.dataset} has fixed test regions; --regions is for --dataset custom")
+    cube = read_cube(ns.cube)
     spec = PatchSpec(settings["patch_size"], settings["overlap"], ns.scale)
     _, test, manifest = plan_split(cube, protocol, spec, seed=settings["seed"])
     if protocol.expected_shape is not None:
@@ -407,7 +410,7 @@ def _cmd_distill(ns) -> int:
 
 def _cmd_analyze_rank(ns) -> int:
     model, _ = load_checkpoint(ns.checkpoint)
-    report = analyze_upsampler(model, layer=ns.layer)
+    report = analyze_upsampler(model)
     print(report.to_json())
     outputs = []
     if ns.out_json:
@@ -420,7 +423,7 @@ def _cmd_analyze_rank(ns) -> int:
         _write_manifest(
             Path(str(outputs[0]) + ".manifest.json"),
             "analyze-rank",
-            {"layer": ns.layer},
+            {},
             [ns.checkpoint],
             outputs,
         )
@@ -587,11 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     prepare = sub.add_parser("prepare", help="build a train/val/test split from a cube",
                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     prepare.add_argument("--cube", required=True)
-    prepare.add_argument("--dataset", required=True,
-                         choices=("chikusei", "houston2018", "pavia", "custom"))
+    prepare.add_argument("--dataset", required=True, choices=hsi.DATASETS)
     prepare.add_argument("--scale", type=int, required=True, help="super-resolution factor r")
-    prepare.add_argument("--regions", default=None,
-                         help="custom test regions as JSON [[row,col,h,w],...]")
+    prepare.add_argument("--regions", dest="test_regions", metavar="REGIONS", default=argparse.SUPPRESS,
+                         help="custom test regions as JSON [[row,col,h,w],...] (default none)")
     prepare.add_argument("--out", required=True, help="output split directory")
     _add_settings(prepare, {"seed": TrainConfig.seed, "patch_size": "16*scale: 64 at r=4, 128 at r=8",
                             "overlap": "8*scale: 32 at r=4, 64 at r=8"})
@@ -620,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     ar = sub.add_parser("analyze-rank", help="SVD the upsampler and export its spectrum",
                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     ar.add_argument("--checkpoint", required=True)
-    ar.add_argument("--layer", default="upsampler", help="layer to analyze")
     ar.add_argument("--out-json", dest="out_json", default=None, help="rank report path")
     ar.add_argument("--out-csv", dest="out_csv", default=None, help="cumulative-curve CSV path")
     _add_common(ar)
@@ -630,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     ap.add_argument("--checkpoint", required=True)
     ap.add_argument("--groups", type=int, required=True)
-    ap.add_argument("--init", choices=("random", "svd_blocks"), default="random",
+    ap.add_argument("--init", choices=GROUPED_INITS, default=GROUPED_INITS[0],
                     help="grouped-weight initialization")
     ap.add_argument("--out", required=True)
     _add_settings(ap, {"seed": TrainConfig.seed})

@@ -88,9 +88,10 @@ class HsiCube:
             )
         if min(self.data.shape) < 1:
             raise CubeValidationError(f"cube extents must be >= 1, got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise CubeValidationError("cube contains NaN or Inf samples")
+        # min and max carry any NaN or infinite sample, so no mask is built.
         lo, hi = float(self.data.min()), float(self.data.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise CubeValidationError("cube contains NaN or Inf samples")
         if lo < 0.0 or hi > 1.0:
             raise CubeValidationError(
                 f"cube samples must lie in [0, 1] after normalization, got [{lo}, {hi}]"
@@ -129,12 +130,12 @@ def write_cube(cube: HsiCube, path) -> None:
         {"bands": cube.bands, "height": cube.height, "width": cube.width, "meta": cube.meta},
         sort_keys=True,
     ).encode("utf-8")
-    payload = np.ascontiguousarray(cube.data, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(payload)
+        # The array's own buffer, written with no bytes copy.
+        fh.write(np.ascontiguousarray(cube.data, dtype="<f4"))
 
 
 def read_cube(path) -> HsiCube:
@@ -414,6 +415,8 @@ _PROTOCOLS = {
     "houston2018": houston2018_protocol,
     "pavia": pavia_protocol,
 }
+# Every dataset a split is planned for: the named protocols, then custom regions.
+DATASETS = (*_PROTOCOLS, "custom")
 
 
 def named_protocol(name: str) -> SplitProtocol:
@@ -426,7 +429,12 @@ def named_protocol(name: str) -> SplitProtocol:
 
 
 def custom_protocol(test_regions: list[tuple[int, int, int, int]]) -> SplitProtocol:
-    return SplitProtocol("custom", tuple(Region(*r) for r in test_regions))
+    try:
+        return SplitProtocol("custom", tuple(Region(*r) for r in test_regions))
+    except TypeError:
+        raise ValueError(
+            f"test regions must be [row, col, height, width] lists, got {test_regions!r}"
+        ) from None
 
 
 def central_crop(cube: HsiCube, height: int, width: int) -> HsiCube:

@@ -30,9 +30,8 @@ _GROUP_NOTE = (
 
 @dataclass
 class RankReport:
-    """Singular-spectrum analysis of one upsampling layer."""
+    """Singular-spectrum analysis of the upsampling layer."""
 
-    layer: str
     matrix_shape: tuple[int, int]
     sigma: np.ndarray
     cumulative: np.ndarray
@@ -48,7 +47,7 @@ class RankReport:
 
     def to_dict(self) -> dict:
         return {
-            "layer": self.layer,
+            "layer": "upsampler",
             "matrix_shape": list(self.matrix_shape),
             "rank_bound": self.rank_bound,
             "rank_at": self.rank_at,
@@ -114,35 +113,31 @@ def choose_groups(
     return max(below) if below else min(valid)
 
 
+# Initializations of the grouped upsampler; the first is the default.
+GROUPED_INITS = ("random", "svd_blocks")
+
 # Energy fractions the report gives the rank at.
 RANK_THRESHOLDS = (0.90, 0.95, 0.99)
 
 
-def analyze_upsampler(model: LkcaNet, layer: str = "upsampler") -> RankReport:
-    """SVD the named upsampling layer and summarize its spectrum.
-
-    The layer must be the convolution feeding the pixel shuffle. Analysis
-    runs in double precision regardless of the model dtype.
+def analyze_upsampler(model: LkcaNet) -> RankReport:
+    """SVD the upsampling layer, the convolution feeding the pixel shuffle,
+    and summarize its spectrum. Analysis runs in double precision regardless
+    of the model dtype.
     """
-    name = f"{layer}.weight"
-    if name not in model.params:
-        raise KeyError(f"layer {layer!r} not found in model")
-    if layer != "upsampler":
-        raise ValueError(f"layer {layer!r} is not a convolution feeding a pixel shuffle")
     spec = model.config.upsampler_spec()
     if spec.groups != 1:
         raise ValueError(
             "rank analysis targets the full upsampler; this checkpoint already "
             f"uses {spec.kind}"
         )
-    matrix = weights_to_matrix(model.params[name].value.astype(np.float64))
+    matrix = weights_to_matrix(model.params["upsampler.weight"].value.astype(np.float64))
     result = svd(matrix)
     cumulative = cumulative_energy(result.sigma)
     rank_at = {f"{t:.2f}": rank_at_energy(result.sigma, t) for t in RANK_THRESHOLDS}
     g = choose_groups(model.config)
     grouped = UpsamplerSpec(spec.in_channels, spec.out_channels, spec.kernel, g)
     return RankReport(
-        layer=layer,
         matrix_shape=matrix.shape,
         sigma=result.sigma,
         cumulative=cumulative,
@@ -163,7 +158,7 @@ def _group_slices(spec: UpsamplerSpec, g: int):
 def build_grouped(
     full_weights: np.ndarray,
     groups: int,
-    init: str = "random",
+    init: str = GROUPED_INITS[0],
     rng: np.random.Generator | None = None,
 ) -> tuple[UpsamplerSpec, np.ndarray]:
     """Construct the grouped replacement of a full upsampling convolution.
@@ -184,14 +179,14 @@ def build_grouped(
     spec = UpsamplerSpec(c_in, c_out, k, groups)  # validates divisibility
     assert spec.param_count() * groups == full.param_count()
 
+    if init not in GROUPED_INITS:
+        raise ValueError(f"unknown init mode {init!r}; expected one of {GROUPED_INITS}")
     if init == "random":
         gw = he_normal(rng or np.random.default_rng(0), spec.weight_shape, w.dtype)
-    elif init == "svd_blocks":
+    else:
         gw = np.empty(spec.weight_shape, dtype=w.dtype)
         for b, rows, cins in _group_slices(spec, groups):
             gw[rows] = w[rows, cins]
-    else:
-        raise ValueError(f"unknown init mode {init!r}; expected 'random' or 'svd_blocks'")
     return spec, gw
 
 

@@ -5,11 +5,12 @@ Six quality indices over (B, H, W) or batched (N, B, H, W) stacks of data in
 per-band Pearson correlation, global RMSE, and the relative global synthesis
 error. Batched inputs are scored per image and averaged.
 
-All computation runs in double precision. :func:`evaluate_metrics` casts the
-pair once and hands the float64 arrays to the six indices, which then copy
-nothing. SSIM filters each band's five maps (x, y, x², y², xy) as one stack,
-with the separable Gaussian applied along each axis as a blocked Toeplitz
-matmul, and SAM works through the image a chunk of rows at a time.
+All computation runs in double precision, on inputs of any float dtype.
+Five indices are per-band quantities and read the pair one band at a time,
+cast to float64; SAM reads it a chunk of rows at a time. No index holds a
+float64 copy of the whole image. SSIM filters each band's five maps (x, y,
+x², y², xy) as one stack, with the separable Gaussian applied along each axis
+as a blocked Toeplitz matmul.
 """
 
 from __future__ import annotations
@@ -46,18 +47,10 @@ class MetricResult:
     notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "MPSNR": self.mpsnr,
-            "MSSIM": self.mssim,
-            "SAM": self.sam,
-            "CC": self.cc,
-            "RMSE": self.rmse,
-            "ERGAS": self.ergas,
-        }
+        return {c: getattr(self, c.lower()) for c in _CSV_COLUMNS}
 
     def as_csv_row(self) -> str:
-        d = self.as_dict()
-        return ",".join(repr(d[c]) for c in _CSV_COLUMNS)
+        return ",".join(repr(v) for v in self.as_dict().values())
 
     @staticmethod
     def csv_header() -> str:
@@ -65,8 +58,7 @@ class MetricResult:
 
 
 def _check_pair(sr, hr):
-    a = np.asarray(sr, dtype=np.float64)
-    b = np.asarray(hr, dtype=np.float64)
+    a, b = np.asarray(sr), np.asarray(hr)
     if a.shape != b.shape:
         raise ValueError(f"metric inputs must share a shape, got {a.shape} vs {b.shape}")
     if a.ndim == 3:
@@ -76,17 +68,24 @@ def _check_pair(sr, hr):
     return a, b
 
 
+def _bands(a: np.ndarray, b: np.ndarray):
+    """Each (sr, hr) band pair of two (N, B, H, W) stacks, image by image,
+    cast to float64 one band at a time."""
+    for an, bn in zip(a, b):
+        for x, y in zip(an, bn):
+            yield np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+
+
 def _band_mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, B) mean squared error of each band, taken a band at a time, so no
-    temporary outgrows one band."""
-    return np.array([[np.mean((x - y) ** 2) for x, y in zip(an, bn)] for an, bn in zip(a, b)])
+    """Mean squared error of each band, in :func:`_bands` order."""
+    return np.array([np.mean((x - y) ** 2) for x, y in _bands(a, b)])
 
 
 def mpsnr(sr, hr) -> float:
     """Mean band PSNR at peak 1, each band capped at PSNR_CAP_DB."""
     vals = [
         PSNR_CAP_DB if mse == 0.0 else min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
-        for mse in _band_mse(*_check_pair(sr, hr)).ravel()
+        for mse in _band_mse(*_check_pair(sr, hr))
     ]
     return float(np.mean(vals))
 
@@ -169,24 +168,22 @@ def band_ssim(sr_band: np.ndarray, hr_band: np.ndarray) -> float:
 
 
 def mssim(sr, hr) -> float:
-    a, b = _check_pair(sr, hr)
-    vals = [
-        band_ssim(a[n, c], b[n, c]) for n in range(a.shape[0]) for c in range(a.shape[1])
-    ]
-    return float(np.mean(vals))
+    return float(np.mean([band_ssim(x, y) for x, y in _bands(*_check_pair(sr, hr))]))
 
 
 def sam_degrees(sr, hr, eps: float = 1e-8) -> float:
     """Mean spectral angle in degrees, stable half-angle form (exactly zero
     for identical inputs). Pixels with a zero spectrum on either side
     contribute the angle of the guarded unit vectors. Runs over chunks of
-    rows, so its temporaries stay near ``_SAM_CHUNK_BYTES`` each."""
+    rows, cast to float64 a chunk at a time, so its temporaries stay near
+    ``_SAM_CHUNK_BYTES`` each."""
     a, b = _check_pair(sr, hr)
     n, bands, h, w = a.shape
-    rows = max(1, _SAM_CHUNK_BYTES // (n * bands * w * a.itemsize))
+    rows = max(1, _SAM_CHUNK_BYTES // (n * bands * w * 8))
     theta = np.empty((n, h, w), dtype=np.float64)
     for r0 in range(0, h, rows):
-        ca, cb = a[:, :, r0 : r0 + rows], b[:, :, r0 : r0 + rows]
+        ca = np.asarray(a[:, :, r0 : r0 + rows], dtype=np.float64)
+        cb = np.asarray(b[:, :, r0 : r0 + rows], dtype=np.float64)
         na = np.sqrt((ca * ca).sum(axis=1, keepdims=True))
         nb = np.sqrt((cb * cb).sum(axis=1, keepdims=True))
         u = ca / np.maximum(na, eps)
@@ -203,21 +200,18 @@ def cc(sr, hr) -> tuple[float, int]:
     A zero-variance band scores 1 when both sides are constant and equal,
     else 0; the count of such degenerate bands is returned for flagging.
     """
-    a, b = _check_pair(sr, hr)
     vals = []
     degenerate = 0
-    for n in range(a.shape[0]):
-        for c_idx in range(a.shape[1]):
-            x = a[n, c_idx].ravel()
-            y = b[n, c_idx].ravel()
-            xc = x - x.mean()
-            yc = y - y.mean()
-            denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-            if denom == 0.0:
-                degenerate += 1
-                vals.append(1.0 if np.array_equal(x, y) else 0.0)
-            else:
-                vals.append(float((xc * yc).sum() / denom))
+    for x, y in _bands(*_check_pair(sr, hr)):
+        x, y = x.ravel(), y.ravel()
+        xc = x - x.mean()
+        yc = y - y.mean()
+        denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
+        if denom == 0.0:
+            degenerate += 1
+            vals.append(1.0 if np.array_equal(x, y) else 0.0)
+        else:
+            vals.append(float((xc * yc).sum() / denom))
     return float(np.mean(vals)), degenerate
 
 
@@ -232,28 +226,27 @@ def ergas(sr, hr, r: int, eps: float = 1e-12) -> float:
     if r < 1:
         raise ValueError(f"scale factor must be >= 1, got {r}")
     a, b = _check_pair(sr, hr)
-    band_rmse = np.sqrt(_band_mse(a, b))
-    band_mean = b.mean(axis=(2, 3))
-    terms = np.mean((band_rmse / np.maximum(band_mean, eps)) ** 2, axis=1)
+    # Each band's squared error and reference mean, as two (N, B) arrays.
+    band_mse, band_mean = np.array(
+        [(np.mean((x - y) ** 2), y.mean()) for x, y in _bands(a, b)]
+    ).T.reshape(2, *a.shape[:2])
+    terms = np.mean((np.sqrt(band_mse) / np.maximum(band_mean, eps)) ** 2, axis=1)
     return float(100.0 / r * np.sqrt(np.mean(terms)))
 
 
 def evaluate_metrics(sr, hr, r: int) -> MetricResult:
-    """All six indices for one reconstruction against its reference.
-
-    The pair is cast to float64 once; each index then reads it in place."""
-    a, b = _check_pair(sr, hr)
-    cc_val, degenerate = cc(a, b)
+    """All six indices for one reconstruction against its reference."""
+    cc_val, degenerate = cc(sr, hr)
     notes = []
     if degenerate:
         notes.append(f"{degenerate} zero-variance band(s) in the correlation metric")
     return MetricResult(
-        mpsnr=mpsnr(a, b),
-        mssim=mssim(a, b),
-        sam=sam_degrees(a, b),
+        mpsnr=mpsnr(sr, hr),
+        mssim=mssim(sr, hr),
+        sam=sam_degrees(sr, hr),
         cc=cc_val,
-        rmse=rmse(a, b),
-        ergas=ergas(a, b, r),
+        rmse=rmse(sr, hr),
+        ergas=ergas(sr, hr, r),
         notes=notes,
     )
 
@@ -262,13 +255,6 @@ def average_metrics(results: list[MetricResult]) -> MetricResult:
     """Plain mean of each index over per-region results."""
     if not results:
         raise ValueError("cannot average an empty metric list")
-    notes = [n for res in results for n in res.notes]
-    return MetricResult(
-        mpsnr=float(np.mean([m.mpsnr for m in results])),
-        mssim=float(np.mean([m.mssim for m in results])),
-        sam=float(np.mean([m.sam for m in results])),
-        cc=float(np.mean([m.cc for m in results])),
-        rmse=float(np.mean([m.rmse for m in results])),
-        ergas=float(np.mean([m.ergas for m in results])),
-        notes=notes,
-    )
+    fields = [c.lower() for c in _CSV_COLUMNS]
+    means = {f: float(np.mean([getattr(m, f) for m in results])) for f in fields}
+    return MetricResult(**means, notes=[n for res in results for n in res.notes])

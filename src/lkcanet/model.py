@@ -389,13 +389,13 @@ def save_checkpoint(model: LkcaNet, path, metadata: dict | None = None) -> None:
         fh.write(header)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+            blob = np.ascontiguousarray(arr, dtype="<f4")
             nb = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(struct.pack("<Q", blob.nbytes))
             fh.write(blob)
 
 

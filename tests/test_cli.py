@@ -153,6 +153,31 @@ class TestPrepare:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("regions", ["[[0, 0, 16", "[[0, 0]]", "5"])
+    def test_malformed_regions_rejected(self, workspace, tmp_path, regions):
+        code = run(
+            "prepare", "--cube", str(workspace / "cube.hsc"), "--dataset", "custom",
+            "--regions", regions, "--scale", "2", "--out", str(tmp_path / "s"),
+        )
+        assert code == 3
+
+    def test_named_dataset_rejects_other_regions(self, workspace, tmp_path, capsys):
+        code = run(
+            "prepare", "--cube", str(workspace / "cube.hsc"), "--dataset", "pavia",
+            "--regions", "[[0, 0, 16, 32]]", "--scale", "2", "--out", str(tmp_path / "s"),
+        )
+        assert code == 3
+        assert "--regions is for --dataset custom" in capsys.readouterr().err
+
+    def test_run_manifest_replays_custom_regions(self, workspace, tmp_path):
+        # The manifest records the regions, so the replay needs no --regions.
+        manifest = workspace / "split" / "prepare.manifest.json"
+        assert json.loads(manifest.read_text())["resolved_config"]["test_regions"] == [[0, 0, 16, 32]]
+        again = tmp_path / "again"
+        assert run("prepare", "--cube", str(workspace / "cube.hsc"), "--dataset", "custom",
+                   "--scale", "2", "--out", str(again), "--config", str(manifest)) == 0
+        assert (again / "split.json").read_bytes() == (workspace / "split" / "split.json").read_bytes()
+
 
 class TestTrainCli:
     def test_zero_epochs_saves_initial_model(self, workspace):
@@ -337,12 +362,9 @@ class TestAnalyzeAndApproximate:
         run("analyze-rank", "--checkpoint", str(workspace / "init.lkca"), "--out-csv", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_wrong_layer_rejected(self, workspace):
-        code = run(
-            "analyze-rank", "--checkpoint", str(workspace / "init.lkca"),
-            "--layer", "head",
-        )
-        assert code == 3
+    @pytest.mark.parametrize("flag", [["--layer", "upsampler"]])
+    def test_removed_flags_rejected(self, workspace, flag):
+        assert run("analyze-rank", "--checkpoint", str(workspace / "init.lkca"), *flag) == 2
 
     @pytest.mark.parametrize(
         "edit, named",

@@ -102,6 +102,39 @@ class TestCubeFormat:
         # The array itself plus the validity mask of HsiCube.validate.
         assert peak <= 1.3 * cube.data.nbytes
 
+    def test_read_peaks_at_the_payload(self, tmp_path):
+        # HsiCube.validate reads NaN and Inf off the min and max, so it
+        # builds no mask beside the array.
+        p = tmp_path / "x.hsc"
+        cube = random_cube(8, 128, 128)
+        write_cube(cube, p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            read_cube(p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * cube.data.nbytes
+
+    def test_write_copies_no_payload(self, tmp_path):
+        cube = random_cube(16, 128, 128)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_cube(cube, tmp_path / "x.hsc")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * cube.data.nbytes
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sample_rejected(self, value):
+        data = random_cube(2, 4, 4).data
+        data[1, 2, 3] = value
+        with pytest.raises(CubeValidationError, match="NaN or Inf"):
+            HsiCube(data)
+
     def test_nan_sample_rejected(self, tmp_path):
         p = tmp_path / "x.hsc"
         cube = random_cube(2, 4, 4)

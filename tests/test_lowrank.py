@@ -95,11 +95,6 @@ class TestAnalyze:
         assert lines[0] == "index,sigma,cumulative"
         assert len(lines) == 1 + 16
 
-    def test_unknown_layer_rejected(self):
-        model = self._toy_model()
-        with pytest.raises(KeyError):
-            analyze_upsampler(model, layer="blocks.0.dw1")
-
     def test_already_grouped_rejected(self):
         cfg = NetConfig(
             bands=4, scale_factor=2, feature_channels=8, num_blocks=0,

@@ -164,3 +164,31 @@ class TestOneCast:
         finally:
             tracemalloc.stop()
         assert peak <= 2.75 * copy_f64 + 2**20
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBandAtATime:
+    # Every index reads the float32 pair a band (SAM: a row chunk) at a
+    # time, cast to float64, so no whole float64 copy of the image exists.
+    SHAPE = (32, 256, 256)
+
+    def test_evaluate_metrics_peak_under_three_quarters_of_a_copy(self):
+        sr, hr = float32_pair(self.SHAPE)
+        assert _traced_peak(lambda: evaluate_metrics(sr, hr, r=4)) <= 0.75 * sr.size * 8 + 2**20
+
+    @pytest.mark.parametrize(
+        "index",
+        [mpsnr, mssim, sam_degrees, cc, rmse, lambda sr, hr: ergas(sr, hr, 4)],
+        ids=["mpsnr", "mssim", "sam_degrees", "cc", "rmse", "ergas"],
+    )
+    def test_no_index_holds_a_whole_float64_copy(self, index):
+        sr, hr = float32_pair(self.SHAPE)
+        assert _traced_peak(lambda: index(sr, hr)) < sr.size * 8

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,19 @@ class TestCheckpoint:
         again, _ = load_checkpoint(path)
         x = np.random.default_rng(10).random((1, 4, 6, 6), dtype=np.float32)
         assert np.array_equal(model.predict(x), again.predict(x))
+
+    def test_save_copies_no_tensor(self, tmp_path):
+        # Each tensor is written from its own buffer, with no bytes copy.
+        model = LkcaNet(toy_config(bands=16, scale_factor=4, feature_channels=64), seed=0)
+        nbytes = sum(a.nbytes for a in model.state_arrays().values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_checkpoint(model, tmp_path / "m.lkca")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * nbytes
 
     def test_truncated_rejected(self, tmp_path):
         model = LkcaNet(toy_config(), seed=0)
