@@ -110,18 +110,27 @@ def normalize(raw: np.ndarray, meta: dict | None = None) -> HsiCube:
     """Scale raw radiance samples to [0, 1] by the dataset-wide maximum.
 
     The maximum is recorded in ``meta["norm_max"]`` so metric values can be
-    traced back to the normalization convention.
+    traced back to the normalization convention. The float64 work is done a
+    band at a time, so no whole float64 copy of the cube is built.
     """
-    arr = np.asarray(raw, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    raw = np.asarray(raw)
+    # min and max carry any NaN or infinite sample, so no mask is built.
+    lo, top = float(raw.min()), float(raw.max())
+    if not (np.isfinite(lo) and np.isfinite(top)):
         raise CubeValidationError("raw samples contain NaN or Inf; cannot normalize")
-    top = float(arr.max())
     if top <= 0.0:
         raise CubeValidationError("raw samples have nonpositive maximum; cannot normalize")
-    arr = np.clip(arr, 0.0, None) / top
+    out = np.empty(raw.shape, dtype=np.float32)
+    bands_in, bands_out = np.atleast_1d(raw), np.atleast_1d(out)
+    band = np.empty(bands_out.shape[1:], dtype=np.float64)
+    for b in range(len(bands_out)):
+        band[...] = bands_in[b]
+        np.clip(band, 0.0, None, out=band)
+        band /= top
+        bands_out[b] = band
     meta = dict(meta or {})
     meta["norm_max"] = top
-    return HsiCube(arr.astype(np.float32), meta)
+    return HsiCube(out, meta)
 
 
 def write_cube(cube: HsiCube, path) -> None:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import ops
-from .autodiff import Var, no_grad
+from .autodiff import Var, as_var, no_grad
 from .hsi import resize_bands
 
 CHECKPOINT_MAGIC = b"LKCACKPT"
@@ -340,8 +340,6 @@ class LkcaNet:
             upsampled_features + clamped bicubic upsampling of the input,
             both (N, bands, r*H, r*W).
         """
-        from .autodiff import as_var
-
         x = as_var(x)
         cfg = self.config
         if x.value.ndim != 4 or x.shape[1] != cfg.bands:
@@ -355,6 +353,8 @@ class LkcaNet:
             f = self.lkb_forward(f, i, training=training, rng=rng)
         f = ops.conv2d(f, p["upsampler.weight"], None, groups=cfg.upsampler_groups)
         f_up = ops.pixel_shuffle(f, cfg.scale_factor)
+        # Without a graph nothing else holds the pre-shuffle map: free it before the skip is built.
+        del f
         r = cfg.scale_factor
         skip = resize_bands(x.value, x.shape[2] * r, x.shape[3] * r)
         i_sr = ops.add_const(f_up, skip)

@@ -57,8 +57,21 @@ def add(a: Var, b: Var) -> Var:
 
 
 def add_const(a: Var, c: np.ndarray) -> Var:
+    """a + c, with c a constant that the caller gives up.
+
+    The sum is written into c's buffer when c already has the sum's dtype
+    and shape; otherwise a new array is allocated. a is never written.
+    """
     a = as_var(a)
-    return record(a.value + c, (a,), lambda g: (g,))
+    av = a.value
+    in_place = (
+        isinstance(c, np.ndarray)
+        and c.flags.writeable
+        and c.shape == av.shape
+        and c.dtype == np.result_type(av, c)
+        and not np.may_share_memory(av, c)
+    )
+    return record(np.add(av, c, out=c if in_place else None), (a,), lambda g: (g,))
 
 
 def mul(a: Var, b: Var) -> Var:

@@ -165,6 +165,19 @@ class TestCubeFormat:
         assert cube.meta["norm_max"] == 700.0
         assert cube.data.max() == pytest.approx(1.0)
 
+    def test_normalize_peaks_near_the_output(self):
+        # The float64 work runs a band at a time, so the peak is the float32
+        # output plus one float64 band, not whole float64 copies of the cube.
+        raw = (np.random.default_rng(4).random((16, 128, 128)) * 4000.0).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            normalize(raw)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * raw.size * 4
+
 
 class TestBicubic:
     def test_constant_preserved(self):

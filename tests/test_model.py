@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -132,13 +133,17 @@ class TestForward:
             out = model.lkb_forward(x, block=0, training=True, rng=np.random.default_rng(0))
         assert np.array_equal(out.value, x.value)
 
-    def test_net_matches_primitive_composition(self):
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    def test_net_matches_primitive_composition(self, training):
+        # The training forward records a graph and returns f_up as the
+        # distillation target, so the sum must not have been written into it.
         cfg = toy_config()
         model = LkcaNet(cfg, seed=7)
         p = model.params
         x = np.random.default_rng(6).random((1, 4, 6, 6), dtype=np.float32)
+        with contextlib.nullcontext() if training else no_grad():
+            i_sr, f_up = model.forward(x, training=training, rng=np.random.default_rng(0))
         with no_grad():
-            i_sr, f_up = model.forward(x)
             f = ops.conv2d(Var(x), p["head.weight"], p["head.bias"])
             for i in range(cfg.num_blocks):
                 f = model.lkb_forward(f, i)
@@ -147,6 +152,30 @@ class TestForward:
             ref_sr = ref_up.value + resize_bands(x, 12, 12)
         assert np.array_equal(f_up.value, ref_up.value)
         assert np.array_equal(i_sr.value, ref_sr)
+
+    def test_predict_holds_two_outputs(self):
+        # The pre-shuffle map is freed before the skip is built and the sum
+        # is written into the skip, so at most two SR-sized arrays coexist.
+        model = LkcaNet(NetConfig(bands=32, scale_factor=4, feature_channels=16, num_blocks=1))
+        x = np.random.default_rng(11).random((1, 32, 64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = model.predict(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes
+
+    def test_mixed_dtype_input_keeps_model_dtype(self):
+        # A float64 model given float32 input sums into a new float64 array,
+        # not into the float32 skip.
+        model = LkcaNet(toy_config(), dtype=np.float64, seed=3)
+        x = np.random.default_rng(12).random((2, 4, 5, 7), dtype=np.float32)
+        with no_grad():
+            i_sr, f_up = model.forward(x)
+        assert i_sr.value.dtype == np.float64
+        assert np.array_equal(i_sr.value, f_up.value + resize_bands(x, 10, 14))
 
     def test_forward_deterministic_in_eval(self):
         model = LkcaNet(toy_config(drop_path_rate=0.3), seed=0)

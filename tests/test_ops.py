@@ -359,6 +359,34 @@ class TestDropPath:
             ops.drop_path(Var(np.ones((1, 1, 1, 1))), -0.1, None, training=True)
 
 
+class TestAddConst:
+    def test_sums_into_a_matching_constant(self):
+        a = Var(np.random.default_rng(20).random((2, 3, 4), dtype=np.float32))
+        c = np.random.default_rng(21).random((2, 3, 4), dtype=np.float32)
+        a_before, want = a.value.copy(), a.value + c
+        out = ops.add_const(a, c)
+        assert out.value is c
+        assert np.array_equal(out.value, want)
+        assert np.array_equal(a.value, a_before)
+
+    @pytest.mark.parametrize("case", ["wider-dtype", "read-only", "aliased", "broadcast"])
+    def test_allocates_when_the_constant_cannot_hold_the_sum(self, case):
+        av = np.random.default_rng(22).random((2, 3, 4))
+        c = {
+            "wider-dtype": av.astype(np.float32),
+            "read-only": np.broadcast_to(np.float64(0.5), av.shape),
+            "aliased": av,
+            "broadcast": np.full(4, 0.25),
+        }[case]
+        a, c_before = Var(av), np.array(c)
+        want = av + c
+        out = ops.add_const(a, c)
+        assert out.value.dtype == want.dtype
+        assert np.array_equal(out.value, want)
+        assert np.array_equal(c, c_before)
+        assert out.value is not av
+
+
 class TestGradCheck:
     def test_corrupted_backward_fails_and_names_op(self):
         def bad_scale(x):
