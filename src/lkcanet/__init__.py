@@ -12,9 +12,7 @@ from .hsi import (
     PatchSpec,
     SplitProtocol,
     bicubic_resize,
-    build_split,
     degrade,
-    extract_patches,
     read_cube,
     write_cube,
 )
@@ -26,10 +24,8 @@ from .model import (
     LkcaNet,
     NetConfig,
     UpsamplerSpec,
-    flops_estimate,
     load_checkpoint,
     param_breakdown,
-    param_count,
     save_checkpoint,
 )
 from .train import DistillConfig, TrainConfig, distill, evaluate, train
@@ -39,9 +35,7 @@ __all__ = [
     "PatchSpec",
     "SplitProtocol",
     "bicubic_resize",
-    "build_split",
     "degrade",
-    "extract_patches",
     "read_cube",
     "write_cube",
     "SvdResult",
@@ -66,9 +60,7 @@ __all__ = [
     "LkcaNet",
     "NetConfig",
     "UpsamplerSpec",
-    "param_count",
     "param_breakdown",
-    "flops_estimate",
     "save_checkpoint",
     "load_checkpoint",
     "TrainConfig",

@@ -168,11 +168,11 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config file must hold a JSON object")
     # A run manifest doubles as a config file: replaying it reproduces the run.
-    if "resolved_config" in cfg:
+    if isinstance(cfg, dict) and "resolved_config" in cfg:
         cfg = cfg["resolved_config"]
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: config file must hold a JSON object, or a run manifest whose resolved_config is one")
     unknown = sorted(cfg.keys() - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: no command reads the config key(s) {unknown}")
@@ -389,11 +389,6 @@ def _cmd_distill(ns) -> int:
         "groups": MODEL_DEFAULTS["groups"],
     }
     settings = _resolve(ns, {**student, **_TRAIN_DEFAULTS, **_DISTILL_DEFAULTS})
-    if settings["blocks"] >= tcfg.num_blocks:
-        raise ValueError(
-            f"student must be shallower than the teacher ({tcfg.num_blocks} blocks); "
-            f"got --blocks {settings['blocks']}"
-        )
     config = _model_config(settings, tcfg.bands, tcfg.scale_factor)
     dcfg = _build(DistillConfig, settings, weights=_build(LossWeights, settings),
                   decay=_build(DecaySchedule, settings))

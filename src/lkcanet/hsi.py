@@ -161,9 +161,11 @@ def read_cube(path) -> HsiCube:
             raise CubeTruncatedError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
+            if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+                raise TypeError("the header and its meta must be JSON objects")
             bands, height, width = int(header["bands"]), int(header["height"]), int(header["width"])
             meta = header.get("meta", {})
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise CubeFormatError(f"{path}: unparseable header ({exc})") from exc
         if min(bands, height, width) < 1:
             raise CubeValidationError(f"{path}: header declares extents <= 0: {bands}x{height}x{width}")
@@ -337,11 +339,6 @@ def patch_pairs(cube: HsiCube, origins, spec: PatchSpec) -> list[PatchPair]:
         hr = cube.data[:, r0 : r0 + s, c0 : c0 + s].copy()
         out.append(PatchPair(hr=hr, lr=degrade_array(hr, spec.scale_factor), origin=(r0, c0)))
     return out
-
-
-def extract_patches(cube: HsiCube, spec: PatchSpec) -> list[PatchPair]:
-    """All HR/LR patch pairs of a cube in deterministic row-major origin order."""
-    return patch_pairs(cube, grid_origins(cube.height, cube.width, spec), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +534,3 @@ def cut_split(cube: HsiCube, test: list[HsiCube], manifest: dict) -> Split:
         test=test,
         manifest=manifest,
     )
-
-
-def build_split(cube: HsiCube, protocol: SplitProtocol, spec: PatchSpec, seed: int = 0) -> Split:
-    """Crop test regions, patch the remainder, and split train/val by seed.
-
-    Test regions are kept whole (never patched); see :func:`plan_split`.
-    """
-    return cut_split(*plan_split(cube, protocol, spec, seed))

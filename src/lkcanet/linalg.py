@@ -42,13 +42,6 @@ class SvdResult:
     sigma: np.ndarray
     vt: np.ndarray
 
-    @property
-    def rank_bound(self) -> int:
-        return int(self.sigma.size)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vt
-
 
 def svd(m: np.ndarray) -> SvdResult:
     """Thin SVD with a deterministic sign convention.

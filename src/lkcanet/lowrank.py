@@ -39,7 +39,6 @@ class RankReport:
     recommended_groups: int
     params_full: int
     params_grouped: int
-    note: str = _GROUP_NOTE
 
     @property
     def rank_bound(self) -> int:
@@ -55,7 +54,7 @@ class RankReport:
             "params_full": self.params_full,
             "params_grouped": self.params_grouped,
             "param_ratio": self.params_full / self.params_grouped,
-            "note": self.note,
+            "note": _GROUP_NOTE,
             "sigma_head": [float(s) for s in self.sigma[:8]],
         }
 
@@ -78,16 +77,6 @@ def weights_to_matrix(weights: np.ndarray) -> np.ndarray:
     if w.ndim != 4:
         raise ValueError(f"expected a 4-axis conv weight tensor, got ndim={w.ndim}")
     return w.reshape(w.shape[0], -1)
-
-
-def matrix_to_weights(matrix: np.ndarray, in_channels: int, kernel: int) -> np.ndarray:
-    """Exact inverse of :func:`weights_to_matrix`."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[1] != in_channels * kernel * kernel:
-        raise ValueError(
-            f"matrix shape {m.shape} incompatible with {in_channels} channels, kernel {kernel}"
-        )
-    return m.reshape(m.shape[0], in_channels, kernel, kernel)
 
 
 def choose_groups(
@@ -148,13 +137,6 @@ def analyze_upsampler(model: LkcaNet) -> RankReport:
     )
 
 
-def _group_slices(spec: UpsamplerSpec, g: int):
-    rows = spec.out_channels // g
-    cin = spec.in_channels // g
-    for b in range(g):
-        yield b, slice(b * rows, (b + 1) * rows), slice(b * cin, (b + 1) * cin)
-
-
 def build_grouped(
     full_weights: np.ndarray,
     groups: int,
@@ -175,9 +157,7 @@ def build_grouped(
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
         raise ValueError(f"expected (C_out, C_in, k, k) weights, got {w.shape}")
     c_out, c_in, k, _ = w.shape
-    full = UpsamplerSpec(c_in, c_out, k, 1)
     spec = UpsamplerSpec(c_in, c_out, k, groups)  # validates divisibility
-    assert spec.param_count() * groups == full.param_count()
 
     if init not in GROUPED_INITS:
         raise ValueError(f"unknown init mode {init!r}; expected one of {GROUPED_INITS}")
@@ -185,32 +165,7 @@ def build_grouped(
         gw = he_normal(rng or np.random.default_rng(0), spec.weight_shape, w.dtype)
     else:
         gw = np.empty(spec.weight_shape, dtype=w.dtype)
-        for b, rows, cins in _group_slices(spec, groups):
-            gw[rows] = w[rows, cins]
+        rows, cin = c_out // groups, c_in // groups
+        for b in range(groups):
+            gw[b * rows : (b + 1) * rows] = w[b * rows : (b + 1) * rows, b * cin : (b + 1) * cin]
     return spec, gw
-
-
-def grouped_to_full(grouped_weights: np.ndarray, groups: int) -> np.ndarray:
-    """Embed grouped weights into the equivalent full (block-diagonal) tensor."""
-    gw = np.asarray(grouped_weights)
-    c_out, cin_g, k, _ = gw.shape
-    spec = UpsamplerSpec(cin_g * groups, c_out, k, groups)
-    full = np.zeros((c_out, cin_g * groups, k, k), dtype=gw.dtype)
-    for b, rows, cins in _group_slices(spec, groups):
-        full[rows, cins] = gw[rows]
-    return full
-
-
-def block_diagonal_part(matrix: np.ndarray, groups: int) -> np.ndarray:
-    """Zero everything outside the g diagonal blocks of a reshaped weight matrix."""
-    m = np.asarray(matrix)
-    rows, cols = m.shape
-    if rows % groups or cols % groups:
-        raise ValueError(f"matrix {m.shape} not partitionable into {groups} blocks")
-    out = np.zeros_like(m)
-    rb, cb = rows // groups, cols // groups
-    for b in range(groups):
-        out[b * rb : (b + 1) * rb, b * cb : (b + 1) * cb] = m[
-            b * rb : (b + 1) * rb, b * cb : (b + 1) * cb
-        ]
-    return out

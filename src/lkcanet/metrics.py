@@ -32,6 +32,10 @@ _SSIM_BLOCK = 16
 
 # Bytes of one row chunk of the (N, B, rows, W) stack in sam_degrees.
 _SAM_CHUNK_BYTES = 1 << 20
+# Floors of a pixel's spectral norm in SAM and of a band's reference mean in
+# ERGAS, which keep an all-zero spectrum or band finite.
+_SAM_EPS = 1e-8
+_ERGAS_EPS = 1e-12
 
 _CSV_COLUMNS = ("MPSNR", "MSSIM", "SAM", "CC", "RMSE", "ERGAS")
 
@@ -171,7 +175,7 @@ def mssim(sr, hr) -> float:
     return float(np.mean([band_ssim(x, y) for x, y in _bands(*_check_pair(sr, hr))]))
 
 
-def sam_degrees(sr, hr, eps: float = 1e-8) -> float:
+def sam_degrees(sr, hr) -> float:
     """Mean spectral angle in degrees, stable half-angle form (exactly zero
     for identical inputs). Pixels with a zero spectrum on either side
     contribute the angle of the guarded unit vectors. Runs over chunks of
@@ -186,8 +190,8 @@ def sam_degrees(sr, hr, eps: float = 1e-8) -> float:
         cb = np.asarray(b[:, :, r0 : r0 + rows], dtype=np.float64)
         na = np.sqrt((ca * ca).sum(axis=1, keepdims=True))
         nb = np.sqrt((cb * cb).sum(axis=1, keepdims=True))
-        u = ca / np.maximum(na, eps)
-        v = cb / np.maximum(nb, eps)
+        u = ca / np.maximum(na, _SAM_EPS)
+        v = cb / np.maximum(nb, _SAM_EPS)
         dq = np.sqrt(((u - v) ** 2).sum(axis=1))
         dp = np.sqrt(((u + v) ** 2).sum(axis=1))
         theta[:, r0 : r0 + rows] = 2.0 * np.arctan2(dq, dp)
@@ -219,7 +223,7 @@ def rmse(sr, hr) -> float:
     return float(np.sqrt(np.mean(_band_mse(*_check_pair(sr, hr)))))
 
 
-def ergas(sr, hr, r: int, eps: float = 1e-12) -> float:
+def ergas(sr, hr, r: int) -> float:
     """Relative global synthesis error:
     100 / r * sqrt(mean over bands of (RMSE_b / mean_b)^2), with the band
     mean taken from the reference."""
@@ -230,7 +234,7 @@ def ergas(sr, hr, r: int, eps: float = 1e-12) -> float:
     band_mse, band_mean = np.array(
         [(np.mean((x - y) ** 2), y.mean()) for x, y in _bands(a, b)]
     ).T.reshape(2, *a.shape[:2])
-    terms = np.mean((np.sqrt(band_mse) / np.maximum(band_mean, eps)) ** 2, axis=1)
+    terms = np.mean((np.sqrt(band_mse) / np.maximum(band_mean, _ERGAS_EPS)) ** 2, axis=1)
     return float(100.0 / r * np.sqrt(np.mean(terms)))
 
 

@@ -4,8 +4,11 @@ blocks, a learnable sub-pixel upsampling head, and a bicubic skip path.
 Also owns exact parameter accounting, FLOPs estimation, and the binary
 checkpoint container (magic ``LKCACKPT``).
 
-A model instance is immutable during forward, so concurrent forwards on
-shared weights are safe; training mutates parameters single-writer.
+Run one forward at a time per process, whether it records a graph or not:
+``autodiff.no_grad`` switches recording off for the whole process, so a
+graph-free ``predict`` in one thread would stop the graph of a training
+forward in another, and interleaved exits can leave recording off.
+Training mutates parameters single-writer.
 """
 
 from __future__ import annotations
@@ -186,10 +189,6 @@ def param_breakdown(config: NetConfig) -> dict[str, int]:
     }
 
 
-def param_count(config: NetConfig) -> int:
-    return sum(param_breakdown(config).values())
-
-
 def flops_breakdown(config: NetConfig, input_h: int, input_w: int) -> dict[str, int]:
     """FLOPs (multiply-accumulates x 2) per layer for one LR input of the
     given size.
@@ -206,10 +205,6 @@ def flops_breakdown(config: NetConfig, input_h: int, input_w: int) -> dict[str, 
         if weights:
             out[layer] = sum(2 * math.prod(s) * (hw if len(s) == 4 else 1) for s in weights)
     return out
-
-
-def flops_estimate(config: NetConfig, input_h: int, input_w: int) -> int:
-    return sum(flops_breakdown(config, input_h, input_w).values())
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +280,6 @@ class LkcaNet:
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         for name, v in LkcaNet.from_state(self.config, arrays, self.dtype).params.items():
             self.params[name].value = v.value
-
-    def set_zero_weights(self) -> None:
-        """Zero every parameter; the forward then reduces to the bicubic skip."""
-        for v in self.params.values():
-            v.value = np.zeros_like(v.value)
 
     # -- forward ------------------------------------------------------------
 
@@ -419,6 +409,9 @@ def read_checkpoint_arrays(path) -> tuple[NetConfig, dict, dict[str, np.ndarray]
             )
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+        if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+                and isinstance(header.get("metadata", {}), dict)):
+            raise CheckpointError(f"{path}: the header must be a JSON object with object config and metadata")
         config = NetConfig.from_dict(header["config"])
         metadata = header.get("metadata", {})
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
@@ -442,13 +435,3 @@ def load_checkpoint(path) -> tuple[LkcaNet, dict]:
     """Rebuild a model from a checkpoint; forward outputs reproduce bit-exactly."""
     config, metadata, arrays = read_checkpoint_arrays(path)
     return LkcaNet.from_state(config, arrays), metadata
-
-
-def load_weights(model: LkcaNet, path) -> dict:
-    """Load tensors from a checkpoint into an existing model.
-
-    Rejects mismatched configurations, naming the offending tensor.
-    """
-    _, metadata, arrays = read_checkpoint_arrays(path)
-    model.load_state(arrays)
-    return metadata

@@ -1,5 +1,5 @@
 """Differentiable primitives: convolutions, normalization, activations,
-pixel shuffle, channel attention, and a finite-difference gradient checker.
+pixel shuffle and channel attention.
 
 Tensors follow the (N, C, H, W) layout. Convolutions are stride-1
 cross-correlations with "same" zero padding; dilation and channel groups are
@@ -19,7 +19,7 @@ from the call shapes:
 im2col copies each tap's overlap with the image and never builds a padded
 copy; taps that lie wholly in the zero padding are skipped.
 
-Every primitive carries an analytic backward that the checker validates
+Every primitive carries an analytic backward, which the test suite checks
 against central finite differences.
 
 Reductions use numpy's deterministic summation order, so repeated runs on
@@ -28,12 +28,10 @@ the same machine are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import erf
 
-from .autodiff import Var, as_var, backward, no_grad, record
+from .autodiff import Var, as_var, record
 
 _SQRT1_2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -42,6 +40,8 @@ _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # in one piece. On a 2-core Xeon, budgets from 1 to 16 MB ran a 64x64 k7 call
 # equally fast.
 _DEPTHWISE_CHUNK_BYTES = 4 << 20
+# Added to the channel variance in layer_norm.
+_LN_EPS = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +85,6 @@ def mul(a: Var, b: Var) -> Var:
 def scale(a: Var, k: float) -> Var:
     a = as_var(a)
     return record(a.value * k, (a,), lambda g: (g * k,))
-
-
-def project_scalar(a: Var, weights: np.ndarray) -> Var:
-    """Weighted sum reducing a tensor to a scalar: sum(a * weights)."""
-    a = as_var(a)
-    w = np.asarray(weights)
-    return record(np.asarray((a.value * w).sum()), (a,), lambda g: (g * w,))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +257,7 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, g
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-6) -> Var:
+def layer_norm(x: Var, gamma: Var, beta: Var) -> Var:
     """Per-position normalization over the channel axis with learned affine."""
     x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
     n, c, h, w = x.shape
@@ -272,7 +265,7 @@ def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-6) -> Var:
         raise ValueError(f"gamma/beta must have shape ({c},)")
     mu = x.value.mean(axis=1, keepdims=True)
     var = x.value.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (x.value - mu) * inv
     out = gamma.value[:, None, None] * xhat + beta.value[:, None, None]
 
@@ -353,12 +346,6 @@ def pixel_shuffle(x: Var, r: int) -> Var:
     x = as_var(x)
     out = shuffle_array(x.value, r)
     return record(out, (x,), lambda g: (unshuffle_array(g, r),))
-
-
-def pixel_unshuffle(x: Var, r: int) -> Var:
-    x = as_var(x)
-    out = unshuffle_array(x.value, r)
-    return record(out, (x,), lambda g: (shuffle_array(g, r),))
 
 
 # ---------------------------------------------------------------------------
@@ -447,106 +434,3 @@ def drop_path(x: Var, rate: float, rng: np.random.Generator | None, training: bo
         keep = (rng.random(n) >= rate).astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
     m = keep[:, None, None, None]
     return record(x.value * m, (x,), lambda g: (g * m,))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckFailure:
-    input_name: str
-    flat_index: int
-    analytic: float
-    numeric: float
-    rel_error: float
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of comparing analytic gradients against central differences."""
-
-    op_name: str
-    passed: bool
-    max_rel_error: float
-    tolerance: float
-    failures: list[GradCheckFailure] = field(default_factory=list)
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        lines = [
-            f"grad_check[{self.op_name}]: {status} "
-            f"(max rel err {self.max_rel_error:.3e}, tol {self.tolerance:.1e})"
-        ]
-        for f in self.failures:
-            lines.append(
-                f"  {self.op_name}/{f.input_name}[{f.flat_index}]: "
-                f"analytic={f.analytic:.6e} numeric={f.numeric:.6e} rel={f.rel_error:.3e}"
-            )
-        return "\n".join(lines)
-
-
-def grad_check(
-    fn,
-    inputs,
-    *,
-    eps: float = 1e-5,
-    tolerance: float = 1e-6,
-    op_name: str = "op",
-    names: list[str] | None = None,
-    projection_seed: int = 0,
-    max_report: int = 8,
-) -> GradCheckReport:
-    """Compare ``fn``'s analytic gradients to central finite differences.
-
-    ``fn`` maps one Var per input array to a Var; non-scalar outputs are
-    reduced with a fixed random projection so a single scalar objective is
-    differentiated. Inputs are widened to float64. The relative error per
-    element is ``|analytic - numeric| / max(1, |numeric|)``.
-    """
-    arrays = [np.array(a, dtype=np.float64) for a in inputs]
-    names = names or [f"arg{i}" for i in range(len(arrays))]
-    proj: dict[tuple, np.ndarray] = {}
-
-    def objective(arrs, want_vars=False):
-        vs = [Var(a) for a in arrs]
-        out = fn(*vs)
-        if out.value.size != 1:
-            key = out.value.shape
-            if key not in proj:
-                proj[key] = np.random.default_rng(projection_seed).standard_normal(key)
-            out = project_scalar(out, proj[key])
-        return (vs, out) if want_vars else float(out.value)
-
-    vs, out = objective(arrays, want_vars=True)
-    backward(out)
-    analytic = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in vs]
-
-    max_rel = 0.0
-    failures: list[GradCheckFailure] = []
-    with no_grad():
-        for a_idx, base in enumerate(arrays):
-            flat = base.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + eps
-                f_plus = objective(arrays)
-                flat[j] = orig - eps
-                f_minus = objective(arrays)
-                flat[j] = orig
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                ana = float(analytic[a_idx].reshape(-1)[j])
-                rel = abs(ana - numeric) / max(1.0, abs(numeric))
-                if rel > max_rel:
-                    max_rel = rel
-                if rel > tolerance and len(failures) < max_report:
-                    failures.append(GradCheckFailure(names[a_idx], j, ana, numeric, rel))
-
-    return GradCheckReport(
-        op_name=op_name,
-        passed=max_rel <= tolerance,
-        max_rel_error=max_rel,
-        tolerance=tolerance,
-        failures=failures,
-    )

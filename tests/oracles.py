@@ -1,16 +1,34 @@
-"""Independent scalar-loop reference implementations used as test oracles.
+"""Test oracles and harness code that the library itself never runs.
 
-These deliberately avoid the library's vectorized code paths: everything is
-explicit Python loops and math-module scalar arithmetic, except
-``gather_resize``, which is the whole-array gather form of the bicubic
-resize that the library's matrix form must reproduce.
+- Scalar-loop references of the losses and metrics: explicit Python loops
+  and math-module scalar arithmetic, avoiding the library's vectorized code
+  paths.
+- ``gather_resize``: the whole-array gather form of the bicubic resize that
+  the library's matrix form must reproduce.
+- ``grad_check``: the central finite-difference checker every primitive's
+  analytic backward is validated against, with ``project_scalar``, its
+  reduction of a tensor output to a scalar objective.
+- ``block_diagonal_part`` and ``grouped_to_full``: the block-diagonal
+  structure a grouped upsampler must have, written as plain slice loops
+  rather than through ``lowrank``'s own group slicing.
+- ``build_split``: planning and cutting a split in one call, as
+  ``lkcanet prepare`` followed by a training load does.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from lkcanet.hsi import _cubic_taps
+from lkcanet.autodiff import Var, as_var, backward, no_grad, record
+from lkcanet.hsi import _cubic_taps, cut_split, plan_split
+
+# The finite-difference checker's step, the seed of its fixed projection of
+# a tensor output to a scalar, and the number of failing elements a report
+# lists.
+_FD_STEP = 1e-5
+_PROJECTION_SEED = 0
+_MAX_REPORT = 8
 
 
 def loop_l1(a, b):
@@ -189,3 +207,146 @@ def gather_resize(arr, out_h, out_w, clamp=True):
     if clamp:
         work = np.clip(work, 0.0, 1.0)
     return work.astype(a.dtype, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference gradient checking
+# ---------------------------------------------------------------------------
+
+
+def project_scalar(a, weights):
+    """Weighted sum reducing a tensor to a scalar: sum(a * weights)."""
+    a = as_var(a)
+    w = np.asarray(weights)
+    return record(np.asarray((a.value * w).sum()), (a,), lambda g: (g * w,))
+
+
+@dataclass
+class GradCheckFailure:
+    input_name: str
+    flat_index: int
+    analytic: float
+    numeric: float
+    rel_error: float
+
+
+@dataclass
+class GradCheckReport:
+    """Outcome of comparing analytic gradients against central differences."""
+
+    op_name: str
+    passed: bool
+    max_rel_error: float
+    tolerance: float
+    failures: list = field(default_factory=list)
+
+    def summary(self):
+        status = "pass" if self.passed else "FAIL"
+        lines = [
+            f"grad_check[{self.op_name}]: {status} "
+            f"(max rel err {self.max_rel_error:.3e}, tol {self.tolerance:.1e})"
+        ]
+        for f in self.failures:
+            lines.append(
+                f"  {self.op_name}/{f.input_name}[{f.flat_index}]: "
+                f"analytic={f.analytic:.6e} numeric={f.numeric:.6e} rel={f.rel_error:.3e}"
+            )
+        return "\n".join(lines)
+
+
+def grad_check(fn, inputs, *, tolerance=1e-6, op_name="op", names=None):
+    """Compare ``fn``'s analytic gradients to central finite differences.
+
+    ``fn`` maps one Var per input array to a Var; non-scalar outputs are
+    reduced with a fixed random projection so a single scalar objective is
+    differentiated. Inputs are widened to float64. The relative error per
+    element is ``|analytic - numeric| / max(1, |numeric|)``.
+    """
+    arrays = [np.array(a, dtype=np.float64) for a in inputs]
+    names = names or [f"arg{i}" for i in range(len(arrays))]
+    proj = {}
+
+    def objective(arrs, want_vars=False):
+        vs = [Var(a) for a in arrs]
+        out = fn(*vs)
+        if out.value.size != 1:
+            key = out.value.shape
+            if key not in proj:
+                proj[key] = np.random.default_rng(_PROJECTION_SEED).standard_normal(key)
+            out = project_scalar(out, proj[key])
+        return (vs, out) if want_vars else float(out.value)
+
+    vs, out = objective(arrays, want_vars=True)
+    backward(out)
+    analytic = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in vs]
+
+    max_rel = 0.0
+    failures = []
+    with no_grad():
+        for a_idx, base in enumerate(arrays):
+            flat = base.reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + _FD_STEP
+                f_plus = objective(arrays)
+                flat[j] = orig - _FD_STEP
+                f_minus = objective(arrays)
+                flat[j] = orig
+                numeric = (f_plus - f_minus) / (2.0 * _FD_STEP)
+                ana = float(analytic[a_idx].reshape(-1)[j])
+                rel = abs(ana - numeric) / max(1.0, abs(numeric))
+                if rel > max_rel:
+                    max_rel = rel
+                if rel > tolerance and len(failures) < _MAX_REPORT:
+                    failures.append(GradCheckFailure(names[a_idx], j, ana, numeric, rel))
+
+    return GradCheckReport(
+        op_name=op_name,
+        passed=max_rel <= tolerance,
+        max_rel_error=max_rel,
+        tolerance=tolerance,
+        failures=failures,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Block-diagonal structure of a grouped upsampler
+# ---------------------------------------------------------------------------
+
+
+def block_diagonal_part(matrix, groups):
+    """Zero everything outside the g diagonal blocks of a reshaped weight matrix."""
+    m = np.asarray(matrix)
+    rows, cols = m.shape
+    if rows % groups or cols % groups:
+        raise ValueError(f"matrix {m.shape} not partitionable into {groups} blocks")
+    out = np.zeros_like(m)
+    rb, cb = rows // groups, cols // groups
+    for b in range(groups):
+        out[b * rb : (b + 1) * rb, b * cb : (b + 1) * cb] = m[
+            b * rb : (b + 1) * rb, b * cb : (b + 1) * cb
+        ]
+    return out
+
+
+def grouped_to_full(grouped_weights, groups):
+    """Embed (C_out, C_in / g, k, k) grouped weights into the equivalent full
+    (C_out, C_in, k, k) tensor, zero outside the g diagonal blocks."""
+    gw = np.asarray(grouped_weights)
+    c_out, cin_g, k, _ = gw.shape
+    rows = c_out // groups
+    full = np.zeros((c_out, cin_g * groups, k, k), dtype=gw.dtype)
+    for b in range(groups):
+        full[b * rows : (b + 1) * rows, b * cin_g : (b + 1) * cin_g] = gw[b * rows : (b + 1) * rows]
+    return full
+
+
+# ---------------------------------------------------------------------------
+# Splits
+# ---------------------------------------------------------------------------
+
+
+def build_split(cube, protocol, spec, seed=0):
+    """Plan a split and cut its train/val patches at once; test regions are
+    kept whole (see ``lkcanet.hsi.plan_split``)."""
+    return cut_split(*plan_split(cube, protocol, spec, seed))

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 import scipy
 from conftest import smooth_bands
+from oracles import build_split
 
 from lkcanet import cli, hsi
 from lkcanet import model as model_module
 from lkcanet.cli import load_split, main
-from lkcanet.hsi import PatchSpec, build_split, custom_protocol, read_cube
+from lkcanet.hsi import PatchSpec, custom_protocol, read_cube
 from lkcanet.model import NetConfig, load_checkpoint
 from lkcanet.train import DistillConfig, TrainConfig
 
@@ -91,6 +92,13 @@ class TestCubeCommands:
 
     def test_missing_file_is_validation_error(self, workspace):
         assert run("cube", "info", str(workspace / "nope.hsc")) == 3
+
+    def test_header_of_the_wrong_json_type_is_validation_error(self, tmp_path, capsys):
+        header = b"[1, 2, 3]"
+        path = tmp_path / "list.hsc"
+        path.write_bytes(b"HSCUBE01" + struct.pack("<I", len(header)) + header)
+        assert run("cube", "info", str(path)) == 3
+        assert "unparseable header" in capsys.readouterr().err
 
     def test_json_error_payload(self, workspace, capsys):
         assert run("cube", "info", str(workspace / "nope.hsc"), "--json") == 3
@@ -649,6 +657,16 @@ class TestSettings:
             assert run("prepare", *cube, "--dataset", "custom", "--scale", "2", *regions,
                        "--out", str(again), "--config", str(first / record)) == 0
             assert (again / "split.json").read_bytes() == (first / "split.json").read_bytes()
+
+    @pytest.mark.parametrize("content", [[1], {"resolved_config": 5}, {"resolved_config": [1]}],
+                             ids=["list", "manifest_int", "manifest_list"])
+    def test_config_of_the_wrong_json_type_rejected(self, workspace, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        args = ["--split", str(workspace / "split"), "--out", str(tmp_path / "m.lkca")]
+        assert run("train", *args, "--config", str(cfg)) == 3
+        assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "m.lkca").exists()
 
     def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

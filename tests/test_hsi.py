@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gather_resize
+from oracles import build_split, gather_resize
 
 from lkcanet import hsi
 from lkcanet.hsi import (
@@ -15,12 +15,11 @@ from lkcanet.hsi import (
     PatchSpec,
     Region,
     bicubic_resize,
-    build_split,
     chikusei_protocol,
     custom_protocol,
     degrade,
     degrade_array,
-    extract_patches,
+    grid_origins,
     houston2018_protocol,
     normalize,
     patch_origins,
@@ -53,6 +52,21 @@ class TestCubeFormat:
         p = tmp_path / "x.hsc"
         p.write_bytes(b"NOTACUBE" + b"\x00" * 16)
         with pytest.raises(CubeFormatError):
+            read_cube(p)
+
+    @pytest.mark.parametrize(
+        "header",
+        [[1, 2, 3], {"bands": None, "height": 2, "width": 2}, {"bands": 1, "height": 2, "width": 2, "meta": []}],
+        ids=["list", "null_bands", "list_meta"],
+    )
+    def test_header_of_the_wrong_json_type_rejected(self, tmp_path, header):
+        import json
+        import struct
+
+        p = tmp_path / "x.hsc"
+        blob = json.dumps(header).encode()
+        p.write_bytes(b"HSCUBE01" + struct.pack("<I", len(blob)) + blob + b"\x00" * 16)
+        with pytest.raises(CubeFormatError, match="unparseable header"):
             read_cube(p)
 
     def test_truncated_payload(self, tmp_path):
@@ -326,7 +340,7 @@ class TestPatches:
     def test_single_patch(self):
         spec = PatchSpec(16, 4, 4)
         cube = random_cube(2, 16, 16)
-        pairs = extract_patches(cube, spec)
+        pairs = patch_pairs(cube, grid_origins(cube.height, cube.width, spec), spec)
         assert len(pairs) == 1
         assert pairs[0].origin == (0, 0)
 
@@ -356,7 +370,7 @@ class TestPatches:
     def test_pairs_match_degrade(self):
         cube = random_cube(2, 24, 24, seed=3)
         spec = PatchSpec(8, 4, 2)
-        pairs = extract_patches(cube, spec)
+        pairs = patch_pairs(cube, grid_origins(cube.height, cube.width, spec), spec)
         for pair in pairs[:5]:
             r0, c0 = pair.origin
             hr = cube.data[:, r0 : r0 + 8, c0 : c0 + 8]

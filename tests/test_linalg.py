@@ -28,7 +28,7 @@ class TestSvd:
         rng = np.random.default_rng(7)
         m = rng.standard_normal((20, 12))
         result = svd(m)
-        err = np.linalg.norm(result.reconstruct() - m) / np.linalg.norm(m)
+        err = np.linalg.norm((result.u * result.sigma) @ result.vt - m) / np.linalg.norm(m)
         assert err <= 1e-6
 
     def test_orthonormality(self):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from oracles import loop_cos, loop_grad, loop_l1, loop_sam
+from oracles import grad_check, loop_cos, loop_grad, loop_l1, loop_sam
 
-from lkcanet import ops
 from lkcanet.autodiff import Var, backward
 from lkcanet.losses import (
     DecaySchedule,
@@ -101,7 +100,7 @@ class TestGradients:
         rng = np.random.default_rng(8)
         target = rng.standard_normal((2, 3, 4, 4)) + 2.0
         pred = rng.standard_normal((2, 3, 4, 4)) + 2.0
-        report = ops.grad_check(
+        report = grad_check(
             lambda p: loss(p, target), [pred], op_name=f"{name}_loss"
         )
         assert report.passed, report.summary()

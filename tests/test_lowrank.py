@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
+from oracles import block_diagonal_part, grouped_to_full
 
 from lkcanet import ops
 from lkcanet.autodiff import Var, no_grad
-from lkcanet.lowrank import (
-    analyze_upsampler,
-    block_diagonal_part,
-    build_grouped,
-    choose_groups,
-    grouped_to_full,
-    matrix_to_weights,
-    weights_to_matrix,
-)
+from lkcanet.lowrank import analyze_upsampler, build_grouped, choose_groups, weights_to_matrix
 from lkcanet.model import LkcaNet, NetConfig
 
 
@@ -32,7 +25,7 @@ class TestReshape:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(0)
         w = rng.standard_normal((12, 6, 3, 3)).astype(np.float32)
-        back = matrix_to_weights(weights_to_matrix(w), 6, 3)
+        back = weights_to_matrix(w).reshape(w.shape)
         assert np.array_equal(back, w)
 
     def test_unit_impulse_filter_one_hot_row(self):
@@ -48,8 +41,6 @@ class TestReshape:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             weights_to_matrix(np.zeros((4, 4, 3)))
-        with pytest.raises(ValueError):
-            matrix_to_weights(np.zeros((4, 10)), 2, 3)
 
 
 class TestAnalyze:
@@ -161,9 +152,7 @@ class TestBuildGrouped:
         rng = np.random.default_rng(6)
         g, cin, cout = 4, 16, 32
         w_full = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
-        w_full = matrix_to_weights(
-            block_diagonal_part(weights_to_matrix(w_full), g), cin, 3
-        )
+        w_full = block_diagonal_part(weights_to_matrix(w_full), g).reshape(w_full.shape)
         _, gw = build_grouped(w_full, g, init="svd_blocks")
         x = rng.random((2, cin, 6, 6), dtype=np.float32)
         with no_grad():
@@ -184,7 +173,7 @@ class TestBuildGrouped:
         m = np.zeros((cout, cin * k * k))
         for b in range(g):
             m[b * rows : (b + 1) * rows, b * cols : (b + 1) * cols] = blocks[b]
-        gw = build_grouped(matrix_to_weights(m, cin, k), g, init="svd_blocks")[1]
+        gw = build_grouped(m.reshape(cout, cin, k, k), g, init="svd_blocks")[1]
         for b in range(g):
             block = weights_to_matrix(gw[b * rows : (b + 1) * rows])
             assert np.linalg.matrix_rank(block) == 1

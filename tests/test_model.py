@@ -1,8 +1,12 @@
 import contextlib
+import json
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from oracles import grad_check
 
 from lkcanet import model as model_module
 from lkcanet import ops
@@ -14,11 +18,9 @@ from lkcanet.model import (
     NetConfig,
     UpsamplerSpec,
     flops_breakdown,
-    flops_estimate,
     load_checkpoint,
-    load_weights,
     param_breakdown,
-    param_count,
+    read_checkpoint_arrays,
     save_checkpoint,
 )
 
@@ -80,7 +82,7 @@ class TestForward:
         for r in (2, 4):
             cfg = toy_config(scale_factor=r)
             model = LkcaNet(cfg, seed=0)
-            model.set_zero_weights()
+            model.load_state({name: np.zeros_like(v) for name, v in model.state_arrays().items()})
             x = np.random.default_rng(1).random((1, 4, 8, 8), dtype=np.float32)
             y = model.predict(x)
             ref = resize_bands(x, 8 * r, 8 * r)
@@ -199,7 +201,7 @@ class TestForward:
             i_sr, _ = model.forward(x)
             return i_sr
 
-        report = ops.grad_check(fn, arrays, op_name="lkcanet", names=names, tolerance=1e-5)
+        report = grad_check(fn, arrays, op_name="lkcanet", names=names, tolerance=1e-5)
         assert report.passed, report.summary()
 
 
@@ -239,7 +241,7 @@ class TestParamAccounting:
     def test_full_minus_grouped8_delta_matches_reference_tables(self, bands, r, delta_millions):
         full = NetConfig(bands=bands, scale_factor=r)
         grouped = full.with_upsampler_groups(8)
-        delta = param_count(full) - param_count(grouped)
+        delta = sum(param_breakdown(full).values()) - sum(param_breakdown(grouped).values())
         assert delta == full.upsampler_spec().param_count() * 7 // 8
         assert round(delta / 1e6, 3) == delta_millions
 
@@ -284,7 +286,7 @@ class TestFlops:
         hand += 2 * 12 * 4 // 2 * hw              # fuse 1x1 grouped(2), 12 -> 4
         hand += 2 * 4 * 4 * hw                    # proj_out 1x1
         hand += 2 * 9 * 4 * 8 * hw                # upsampler 3x3, 4 -> 2*r^2
-        assert flops_estimate(cfg, h, w) == hand
+        assert sum(flops_breakdown(cfg, h, w).values()) == hand
 
 
 class TestCheckpoint:
@@ -298,6 +300,21 @@ class TestCheckpoint:
         assert again.config == cfg
         x = np.random.default_rng(10).random((1, 4, 6, 6), dtype=np.float32)
         assert np.array_equal(model.predict(x), again.predict(x))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda h: [h], lambda h: {**h, "config": 5}, lambda h: {**h, "metadata": []}],
+        ids=["list", "config_not_object", "metadata_not_object"],
+    )
+    def test_header_of_the_wrong_json_type_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.lkca"
+        save_checkpoint(LkcaNet(toy_config(), seed=0), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[12:16])
+        header = json.dumps(edit(json.loads(blob[16 : 16 + hlen]))).encode()
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + hlen :])
+        with pytest.raises(CheckpointError, match="JSON object"):
+            load_checkpoint(path)
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         # A load builds the model from the stored tensors; an initializer
@@ -348,7 +365,7 @@ class TestCheckpoint:
         save_checkpoint(small, path)
         bigger = LkcaNet(toy_config(feature_channels=16, ca_reduction=4), seed=0)
         with pytest.raises(CheckpointError, match="head.weight"):
-            load_weights(bigger, path)
+            bigger.load_state(read_checkpoint_arrays(path)[2])
 
     def test_double_precision_model_rejected(self, tmp_path):
         model = LkcaNet(toy_config(), dtype=np.float64, seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import grad_check, project_scalar
 
 from lkcanet import ops
 from lkcanet.autodiff import Var, backward, no_grad, record
@@ -92,7 +93,7 @@ class TestConv2d:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        report = ops.grad_check(
+        report = grad_check(
             lambda x, w, b: ops.conv2d(x, w, b, dilation=2, groups=2),
             [rng.standard_normal((2, 4, 5, 5)), rng.standard_normal((6, 2, 3, 3)), rng.standard_normal(6)],
             op_name="conv2d(d=2,g=2)",
@@ -107,7 +108,7 @@ class TestConv2d:
         inputs = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
         if with_bias:
             inputs.append(rng.standard_normal(w_shape[0]))
-        report = ops.grad_check(
+        report = grad_check(
             lambda x, w, b=None: ops.conv2d(x, w, b, dilation=dilation, groups=groups),
             inputs,
             op_name=f"conv2d({case})",
@@ -119,7 +120,7 @@ class TestConv2d:
         x = Var(rng.standard_normal((1, 2, 4, 4)))
         w = Var(rng.standard_normal((2, 2, 3, 3)))
         out = ops.conv2d(x, w)
-        loss = ops.project_scalar(out, np.zeros_like(out.value))
+        loss = project_scalar(out, np.zeros_like(out.value))
         backward(loss)
         assert np.allclose(x.grad, 0.0)
         assert np.allclose(w.grad, 0.0)
@@ -133,7 +134,7 @@ class TestConv2d:
         out = ops.conv2d(x, w, groups=4)
         mask = np.zeros_like(out.value)
         mask[:, :2] = 1.0  # group 0 outputs only
-        backward(ops.project_scalar(out, mask))
+        backward(project_scalar(out, mask))
         assert np.any(w.grad[:2] != 0)
         assert np.allclose(w.grad[2:], 0.0)
         assert np.any(x.grad[:, :2] != 0)
@@ -212,7 +213,7 @@ class TestLayerNorm:
 
     def test_gradients(self):
         rng = np.random.default_rng(9)
-        report = ops.grad_check(
+        report = grad_check(
             ops.layer_norm,
             [rng.standard_normal((2, 4, 3, 3)), rng.standard_normal(4), rng.standard_normal(4)],
             op_name="layer_norm",
@@ -236,7 +237,7 @@ class TestGelu:
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
-        report = ops.grad_check(ops.gelu, [rng.standard_normal((3, 7))], op_name="gelu")
+        report = grad_check(ops.gelu, [rng.standard_normal((3, 7))], op_name="gelu")
         assert report.passed, report.summary()
 
 
@@ -249,7 +250,7 @@ class TestPixelShuffle:
     def test_round_trip_bit_exact(self, r):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3 * r * r, 4, 4)).astype(np.float32)
-        back = ops.pixel_unshuffle(ops.pixel_shuffle(Var(x), r), r).value
+        back = ops.unshuffle_array(ops.pixel_shuffle(Var(x), r).value, r)
         assert np.array_equal(back, x)
 
     def test_channel_layout_oracle(self):
@@ -289,11 +290,11 @@ class TestPixelShuffle:
     def test_round_trip_property(self, n, c, r, h, w):
         rng = np.random.default_rng(n * 1000 + c * 100 + r * 10 + h)
         x = rng.standard_normal((n, c * r * r, h, w))
-        assert np.array_equal(ops.pixel_unshuffle(ops.pixel_shuffle(Var(x), r), r).value, x)
+        assert np.array_equal(ops.unshuffle_array(ops.pixel_shuffle(Var(x), r).value, r), x)
 
     def test_gradients(self):
         rng = np.random.default_rng(15)
-        report = ops.grad_check(
+        report = grad_check(
             lambda x: ops.pixel_shuffle(x, 2), [rng.standard_normal((1, 8, 3, 3))], op_name="pixel_shuffle"
         )
         assert report.passed, report.summary()
@@ -321,7 +322,7 @@ class TestChannelAttention:
 
     def test_gradients_through_pool_mlp_sigmoid(self):
         rng = np.random.default_rng(18)
-        report = ops.grad_check(
+        report = grad_check(
             ops.channel_attention,
             [
                 rng.standard_normal((2, 4, 3, 3)),
@@ -392,13 +393,13 @@ class TestGradCheck:
         def bad_scale(x):
             return record(x.value * 2.0, (x,), lambda g: (g * 3.0,))  # wrong vjp
 
-        report = ops.grad_check(bad_scale, [np.ones(3)], op_name="bad_scale")
+        report = grad_check(bad_scale, [np.ones(3)], op_name="bad_scale")
         assert not report.passed
         assert report.failures
         assert "bad_scale" in report.summary()
 
     def test_zero_input_edge_case_passes(self):
-        report = ops.grad_check(ops.gelu, [np.zeros(4)], op_name="gelu@0")
+        report = grad_check(ops.gelu, [np.zeros(4)], op_name="gelu@0")
         assert report.passed, report.summary()
 
     def test_all_primitives_pass(self):
@@ -424,5 +425,5 @@ class TestGradCheck:
             ),
         ]
         for name, fn, args in checks:
-            report = ops.grad_check(fn, args, op_name=name)
+            report = grad_check(fn, args, op_name=name)
             assert report.passed, report.summary()

@@ -264,7 +264,7 @@ class TestEvaluate:
     def test_zero_weight_model_equals_bicubic_baseline(self):
         split = tiny_split(seed=3)
         model = LkcaNet(tiny_config(), seed=0)
-        model.set_zero_weights()
+        model.load_state({name: np.zeros_like(v) for name, v in model.state_arrays().items()})
         got_model, _ = evaluate(model, split.test, r=2)
         got_bicubic, _ = evaluate("bicubic", split.test, r=2)
         assert got_model.as_dict() == got_bicubic.as_dict()
