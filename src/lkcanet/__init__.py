@@ -11,7 +11,6 @@ from .hsi import (
     HsiCube,
     PatchSpec,
     SplitProtocol,
-    bicubic_resize,
     degrade,
     read_cube,
     write_cube,
@@ -28,13 +27,12 @@ from .model import (
     param_breakdown,
     save_checkpoint,
 )
-from .train import DistillConfig, TrainConfig, distill, evaluate, train
+from .train import BicubicBaseline, DistillConfig, TrainConfig, distill, evaluate, train
 
 __all__ = [
     "HsiCube",
     "PatchSpec",
     "SplitProtocol",
-    "bicubic_resize",
     "degrade",
     "read_cube",
     "write_cube",
@@ -68,4 +66,5 @@ __all__ = [
     "train",
     "distill",
     "evaluate",
+    "BicubicBaseline",
 ]

@@ -47,6 +47,7 @@ from .model import (
 from .train import (
     KD_TARGETS,
     SCHEDULES,
+    BicubicBaseline,
     DistillConfig,
     NonFiniteGradientError,
     TrainConfig,
@@ -199,8 +200,20 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(path: Path, command: str, resolved: dict, inputs: list, outputs: list) -> None:
-    manifest = {
+def _write_outputs(command: str, resolved: dict, inputs: list, written: list,
+                   texts=(), manifest: Path | None = None) -> None:
+    """Write each ``(path, text)`` artefact whose path was given, then the run
+    manifest, at ``<first output>.manifest.json`` unless ``manifest`` names
+    its path; ``written`` lists outputs the command saved itself. A run with
+    no output writes no manifest."""
+    outputs = list(written)
+    for path, text in texts:
+        if path:
+            Path(path).write_text(text, encoding="utf-8")
+            outputs.append(path)
+    if not outputs:
+        return
+    record = {
         "command": command,
         "resolved_config": resolved,
         "inputs": [str(p) for p in inputs],
@@ -209,7 +222,8 @@ def _write_manifest(path: Path, command: str, resolved: dict, inputs: list, outp
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "environment": _environment(),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    manifest = manifest or Path(f"{outputs[0]}.manifest.json")
+    manifest.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +233,36 @@ def _write_manifest(path: Path, command: str, resolved: dict, inputs: list, outp
 
 def _save_split(test: list, manifest: dict, out_dir: Path, cube_path: str) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = dict(manifest)
-    # Absolute, so that a split loads from any working directory.
-    manifest["cube_path"] = str(Path(cube_path).resolve())
-    manifest["test_files"] = []
-    outputs = []
-    for i, region in enumerate(test):
-        name = f"test_{i}.hsc"
+    names = [f"test_{i}.hsc" for i in range(len(test))]
+    for region, name in zip(test, names):
         write_cube(region, out_dir / name)
-        manifest["test_files"].append(name)
-        outputs.append(out_dir / name)
-    mpath = out_dir / "split.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    outputs.append(mpath)
-    return outputs
+    # Absolute, so that a split loads from any working directory.
+    manifest = {**manifest, "cube_path": str(Path(cube_path).resolve()), "test_files": names}
+    (out_dir / "split.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return [out_dir / name for name in (*names, "split.json")]
 
 
 def _load_test_regions(split_dir) -> tuple[list, dict]:
     """The whole test regions and the manifest of a ``prepare`` output
     directory; the source cube is not read."""
-    split_dir = Path(split_dir)
-    manifest = json.loads((split_dir / "split.json").read_text(encoding="utf-8"))
-    return [read_cube(split_dir / name) for name in manifest["test_files"]], manifest
+    path = Path(split_dir) / "split.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    files = manifest.get("test_files") if isinstance(manifest, dict) else None
+    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
+        raise ValueError(f"{path}: must be a JSON object whose test_files lists file names")
+    return [read_cube(path.parent / name) for name in files], manifest
 
 
 def load_split(split_dir) -> "hsi.Split":
-    """Rebuild a materialized split from a ``prepare`` output directory."""
+    """Rebuild a materialized split from a ``prepare`` output directory; its
+    source cube, after the recorded crop, must have the shape it was planned on."""
     test, manifest = _load_test_regions(split_dir)
     cube = read_cube(manifest["cube_path"])
     if manifest.get("crop_shape"):
-        ch, cw = manifest["crop_shape"]
-        cube = hsi.central_crop(cube, ch, cw)
+        cube = hsi.central_crop(cube, *manifest["crop_shape"])
+    if list(cube.shape) != manifest["cube_shape"]:
+        raise ValueError(f"{manifest['cube_path']}: the split was planned on a {manifest['cube_shape']} "
+                         f"cube, but the source is {list(cube.shape)} after the recorded crop")
     return hsi.cut_split(cube, test, manifest)
 
 
@@ -297,13 +310,7 @@ def _cmd_cube_convert(ns) -> int:
         raise ValueError(f"{src}: expected a 3-D (bands, height, width) array, got {raw.shape}")
     cube = hsi.normalize(raw, {"name": ns.name or src.stem})
     write_cube(cube, ns.dst)
-    _write_manifest(
-        Path(str(ns.dst) + ".manifest.json"),
-        "cube convert",
-        {"name": ns.name or src.stem},
-        [src],
-        [ns.dst],
-    )
+    _write_outputs("cube convert", {"name": ns.name or src.stem}, [src], [ns.dst])
     print(f"wrote {ns.dst}: {cube.bands} bands, {cube.height}x{cube.width}")
     return 0
 
@@ -329,7 +336,7 @@ def _cmd_prepare(ns) -> int:
     if protocol.expected_shape is not None:
         manifest["crop_shape"] = list(protocol.expected_shape)
     outputs = _save_split(test, manifest, Path(ns.out), ns.cube)
-    _write_manifest(Path(ns.out) / "prepare.manifest.json", "prepare", settings, [ns.cube], outputs)
+    _write_outputs("prepare", settings, [ns.cube], outputs, manifest=Path(ns.out) / "prepare.manifest.json")
     print(
         f"prepared {ns.dataset} split: {len(manifest['train_origins'])} train / "
         f"{len(manifest['val_origins'])} val patches, {len(test)} test regions -> {ns.out}"
@@ -354,13 +361,8 @@ def _finish_fit(ns, command: str, settings: dict, result, metadata: dict, inputs
         "best_val_mpsnr": result.best_val_mpsnr,
     }
     save_checkpoint(result.model, ns.out, metadata)
-    outputs = [ns.out]
-    if ns.log:
-        with open(ns.log, "w", encoding="utf-8") as fh:
-            for entry in result.history:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        outputs.append(ns.log)
-    _write_manifest(Path(str(ns.out) + ".manifest.json"), command, settings, inputs, outputs)
+    log = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in result.history)
+    _write_outputs(command, settings, inputs, [ns.out], [(ns.log, log)])
     tail = result.history[-1] if result.history else {}
     print(f"{command}: {settings['epochs']} epochs -> {ns.out} (last: {json.dumps(tail, sort_keys=True)})")
     return 4 if result.diverged else 0
@@ -407,21 +409,8 @@ def _cmd_analyze_rank(ns) -> int:
     model, _ = load_checkpoint(ns.checkpoint)
     report = analyze_upsampler(model)
     print(report.to_json())
-    outputs = []
-    if ns.out_json:
-        Path(ns.out_json).write_text(report.to_json() + "\n", encoding="utf-8")
-        outputs.append(ns.out_json)
-    if ns.out_csv:
-        Path(ns.out_csv).write_text(report.curve_csv(), encoding="utf-8")
-        outputs.append(ns.out_csv)
-    if outputs:
-        _write_manifest(
-            Path(str(outputs[0]) + ".manifest.json"),
-            "analyze-rank",
-            {},
-            [ns.checkpoint],
-            outputs,
-        )
+    _write_outputs("analyze-rank", {}, [ns.checkpoint], [],
+                   [(ns.out_json, report.to_json() + "\n"), (ns.out_csv, report.curve_csv())])
     return 0
 
 
@@ -440,7 +429,7 @@ def _cmd_approximate(ns) -> int:
     grouped = LkcaNet.from_state(model.config.with_upsampler_groups(ns.groups), state)
     metadata = {**metadata, "approximated_from": str(ns.checkpoint), "upsampler_init": ns.init}
     save_checkpoint(grouped, ns.out, metadata)
-    _write_manifest(Path(str(ns.out) + ".manifest.json"), "approximate", settings, [ns.checkpoint], [ns.out])
+    _write_outputs("approximate", settings, [ns.checkpoint], [ns.out])
     print(
         f"rewrote upsampler to {spec.kind}: {spec.param_count() * ns.groups} -> "
         f"{spec.param_count()} parameters"
@@ -451,14 +440,12 @@ def _cmd_approximate(ns) -> int:
 def _cmd_eval(ns) -> int:
     test, manifest = _load_test_regions(ns.split)
     r = manifest["scale_factor"]
-    if ns.baseline:
-        scorer: LkcaNet | str = ns.baseline
-        label = ns.baseline
+    if ns.baseline:  # its one choice is bicubic
+        scorer, label = BicubicBaseline(r), ns.baseline
+    elif ns.checkpoint:
+        scorer, label = load_checkpoint(ns.checkpoint)[0], str(ns.checkpoint)
     else:
-        if not ns.checkpoint:
-            raise ValueError("eval needs --checkpoint or --baseline")
-        scorer, _ = load_checkpoint(ns.checkpoint)
-        label = str(ns.checkpoint)
+        raise ValueError("eval needs --checkpoint or --baseline")
     averaged, per_region = evaluate(scorer, test, r)
     payload = {
         "model": label,
@@ -467,23 +454,11 @@ def _cmd_eval(ns) -> int:
         "average": averaged.as_dict(),
         "notes": averaged.notes,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    outputs = []
-    if ns.out_json:
-        Path(ns.out_json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        outputs.append(ns.out_json)
-    if ns.out_csv:
-        lines = [MetricResult.csv_header()] + [m.as_csv_row() for m in per_region] + [averaged.as_csv_row()]
-        Path(ns.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outputs.append(ns.out_csv)
-    if outputs:
-        _write_manifest(
-            Path(str(outputs[0]) + ".manifest.json"),
-            "eval",
-            {"model": label},
-            [ns.split],
-            outputs,
-        )
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
+    rows = [MetricResult.csv_header(), *(m.as_csv_row() for m in per_region), averaged.as_csv_row()]
+    _write_outputs("eval", {"model": label}, [ns.split], [],
+                   [(ns.out_json, text + "\n"), (ns.out_csv, "\n".join(rows) + "\n")])
     return 0
 
 
@@ -556,6 +531,15 @@ def _add_settings(p: argparse.ArgumentParser, shown: dict) -> None:
                            help=f"{text} (default {shown[key]})", **parse)
 
 
+def _command(sub, name: str, text: str, handler=None) -> argparse.ArgumentParser:
+    """A subcommand's parser, whose help appends each default, running
+    ``handler``."""
+    p = sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    if handler:
+        p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lkcanet",
@@ -566,24 +550,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cube = sub.add_parser("cube", help="inspect and convert cube files",
-                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    cube_sub = cube.add_subparsers(dest="cube_command", required=True)
-    info = cube_sub.add_parser("info", help="print cube header and stats",
-                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    cube_sub = _command(sub, "cube", "inspect and convert cube files").add_subparsers(
+        dest="cube_command", required=True)
+    info = _command(cube_sub, "info", "print cube header and stats", _cmd_cube_info)
     info.add_argument("path")
     _add_common(info)
-    info.set_defaults(handler=_cmd_cube_info)
-    convert = cube_sub.add_parser("convert", help="convert a .npy array to a .hsc cube",
-                                  formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    convert = _command(cube_sub, "convert", "convert a .npy array to a .hsc cube", _cmd_cube_convert)
     convert.add_argument("src")
     convert.add_argument("dst")
     convert.add_argument("--name", default=None, help="dataset name stored in metadata")
     _add_common(convert)
-    convert.set_defaults(handler=_cmd_cube_convert)
 
-    prepare = sub.add_parser("prepare", help="build a train/val/test split from a cube",
-                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    prepare = _command(sub, "prepare", "build a train/val/test split from a cube", _cmd_prepare)
     prepare.add_argument("--cube", required=True)
     prepare.add_argument("--dataset", required=True, choices=hsi.DATASETS)
     prepare.add_argument("--scale", type=int, required=True, help="super-resolution factor r")
@@ -593,37 +571,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(prepare, {"seed": TrainConfig.seed, "patch_size": "16*scale: 64 at r=4, 128 at r=8",
                             "overlap": "8*scale: 32 at r=4, 64 at r=8"})
     _add_common(prepare, config=True)
-    prepare.set_defaults(handler=_cmd_prepare)
 
-    tr = sub.add_parser("train", help="train a model on a prepared split",
-                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    tr = _command(sub, "train", "train a model on a prepared split", _cmd_train)
     tr.add_argument("--split", required=True, help="split directory from `prepare`")
     tr.add_argument("--out", required=True, help="output checkpoint path")
     tr.add_argument("--log", default=None, help="JSON-lines per-epoch log path")
     _add_settings(tr, {**MODEL_DEFAULTS, **_TRAIN_DEFAULTS})
     _add_common(tr, config=True)
-    tr.set_defaults(handler=_cmd_train)
 
-    di = sub.add_parser("distill", help="train a student against a frozen teacher",
-                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    di = _command(sub, "distill", "train a student against a frozen teacher", _cmd_distill)
     di.add_argument("--teacher", required=True, help="teacher checkpoint")
     di.add_argument("--split", required=True)
     di.add_argument("--out", required=True)
     di.add_argument("--log", default=None, help="JSON-lines per-epoch log path")
     _add_settings(di, {**_STUDENT_SHOWN, **_TRAIN_DEFAULTS, **_DISTILL_DEFAULTS})
     _add_common(di, config=True)
-    di.set_defaults(handler=_cmd_distill)
 
-    ar = sub.add_parser("analyze-rank", help="SVD the upsampler and export its spectrum",
-                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    ar = _command(sub, "analyze-rank", "SVD the upsampler and export its spectrum", _cmd_analyze_rank)
     ar.add_argument("--checkpoint", required=True)
     ar.add_argument("--out-json", dest="out_json", default=None, help="rank report path")
     ar.add_argument("--out-csv", dest="out_csv", default=None, help="cumulative-curve CSV path")
     _add_common(ar)
-    ar.set_defaults(handler=_cmd_analyze_rank)
 
-    ap = sub.add_parser("approximate", help="rewrite a checkpoint's upsampler as grouped",
-                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    ap = _command(sub, "approximate", "rewrite a checkpoint's upsampler as grouped", _cmd_approximate)
     ap.add_argument("--checkpoint", required=True)
     ap.add_argument("--groups", type=int, required=True)
     ap.add_argument("--init", choices=GROUPED_INITS, default=GROUPED_INITS[0],
@@ -631,27 +601,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", required=True)
     _add_settings(ap, {"seed": TrainConfig.seed})
     _add_common(ap)
-    ap.set_defaults(handler=_cmd_approximate)
 
-    ev = sub.add_parser("eval", help="score a checkpoint or baseline on test regions",
-                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    ev = _command(sub, "eval", "score a checkpoint or baseline on test regions", _cmd_eval)
     ev.add_argument("--split", required=True)
     ev.add_argument("--checkpoint", default=None)
     ev.add_argument("--baseline", choices=("bicubic",), default=None)
     ev.add_argument("--out-json", dest="out_json", default=None)
     ev.add_argument("--out-csv", dest="out_csv", default=None)
     _add_common(ev)
-    ev.set_defaults(handler=_cmd_eval)
 
-    be = sub.add_parser("bench", help="parameter/FLOPs breakdown incl. upsampler share",
-                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    be = _command(sub, "bench", "parameter/FLOPs breakdown incl. upsampler share", _cmd_bench)
     be.add_argument("--bands", type=int, default=argparse.SUPPRESS)
     be.add_argument("--scale", type=int, default=argparse.SUPPRESS)
     be.add_argument("--input-size", dest="input_size", default="32x32",
                     help="LR input size HxW for the FLOPs column")
     _add_settings(be, MODEL_DEFAULTS)
     _add_common(be, config=True)
-    be.set_defaults(handler=_cmd_bench)
 
     return parser
 

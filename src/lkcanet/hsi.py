@@ -254,11 +254,6 @@ def resize_bands(arr: np.ndarray, out_h: int, out_w: int, clamp: bool = True) ->
     return out.reshape(*lead, out_h, out_w)
 
 
-def bicubic_resize(cube: HsiCube, out_h: int, out_w: int) -> HsiCube:
-    """Band-wise bicubic resize of a cube, output clamped to [0, 1]."""
-    return HsiCube(resize_bands(cube.data, out_h, out_w), dict(cube.meta))
-
-
 def degrade(cube: HsiCube, r: int) -> HsiCube:
     """Bicubic downsampling of a cube by an integral factor r."""
     return HsiCube(degrade_array(cube.data, r), dict(cube.meta))
@@ -444,13 +439,14 @@ def custom_protocol(test_regions: list[tuple[int, int, int, int]]) -> SplitProto
 
 
 def central_crop(cube: HsiCube, height: int, width: int) -> HsiCube:
+    """The central height x width window of a cube, as a view of its data."""
     if height > cube.height or width > cube.width:
         raise CubeValidationError(
             f"cannot centrally crop {cube.height}x{cube.width} to {height}x{width}"
         )
     r0 = (cube.height - height) // 2
     c0 = (cube.width - width) // 2
-    return cube.crop(r0, c0, height, width)
+    return HsiCube(cube.data[:, r0 : r0 + height, c0 : c0 + width], dict(cube.meta))
 
 
 @dataclass

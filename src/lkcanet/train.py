@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import backward, no_grad
-from .hsi import HsiCube, bicubic_resize, degrade
+from .hsi import HsiCube, degrade, resize_bands
 from .losses import DecaySchedule, LossWeights, h_loss, kd_loss, total_loss
 from .metrics import MetricResult, average_metrics, evaluate_metrics, mpsnr
 from .model import LkcaNet
@@ -250,9 +250,9 @@ def _fit(
                 "val_mpsnr": val,
             }
         )
-        last_good = _snapshot(model)
+        last_good = _snapshot(model)  # never written: load_state copies
         if val is not None and (best[1] is None or val > best[1]):
-            best = (epoch, val, _snapshot(model))
+            best = (epoch, val, last_good)
 
     if best[2] is not None:
         model.load_state(best[2])
@@ -305,10 +305,22 @@ def distill(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class BicubicBaseline:
+    """The bicubic upsampling a network is scored against: ``predict`` takes
+    (N, bands, h, w) to (N, bands, r*h, r*w), as the network's skip does."""
+
+    scale_factor: int
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        r = self.scale_factor
+        return resize_bands(x, x.shape[-2] * r, x.shape[-1] * r)
+
+
 def evaluate(
-    model: LkcaNet | str, regions: list[HsiCube], r: int
+    model: LkcaNet | BicubicBaseline, regions: list[HsiCube], r: int
 ) -> tuple[MetricResult, list[MetricResult]]:
-    """Score a model (or the "bicubic" baseline) over whole test regions.
+    """Score a model or the bicubic baseline over whole test regions.
 
     Each high-resolution region is bicubic-degraded by r, super-resolved,
     and compared against the original; the six metrics are averaged over
@@ -318,18 +330,8 @@ def evaluate(
     """
     if not regions:
         raise ValueError("no test regions to evaluate")
-    per_region = []
-    for region in regions:
-        if not isinstance(model, str) and region.bands != model.config.bands:
-            raise ValueError(
-                f"region has {region.bands} bands, model expects {model.config.bands}"
-            )
-        lr = degrade(region, r)
-        if isinstance(model, str):
-            if model != "bicubic":
-                raise ValueError(f"unknown baseline {model!r}")
-            sr = bicubic_resize(lr, region.height, region.width).data
-        else:
-            sr = model.predict(lr.data[None])[0]
-        per_region.append(evaluate_metrics(sr, region.data, r))
+    per_region = [
+        evaluate_metrics(model.predict(degrade(region, r).data[None])[0], region.data, r)
+        for region in regions
+    ]
     return average_metrics(per_region), per_region

@@ -43,7 +43,7 @@ from lkcanet.losses import (
 from lkcanet.lowrank import build_grouped, weights_to_matrix
 from lkcanet.metrics import cc, ergas, evaluate_metrics, mpsnr, mssim, rmse, sam_degrees
 from lkcanet.model import LkcaNet, NetConfig, param_breakdown
-from lkcanet.train import DistillConfig, TrainConfig, distill, evaluate, train
+from lkcanet.train import BicubicBaseline, DistillConfig, TrainConfig, distill, evaluate, train
 
 
 def report(criterion, ok, detail=""):
@@ -343,7 +343,7 @@ def test_criterion_9_chikusei_bicubic_baseline():
     3.4040 deg SAM +- 0.1."""
     cube = read_cube(os.environ["LKCANET_CHIKUSEI_CUBE"])
     split = build_split(cube, chikusei_protocol(), PatchSpec(64, 32, 4), seed=0)
-    averaged, _ = evaluate("bicubic", split.test, r=4)
+    averaged, _ = evaluate(BicubicBaseline(4), split.test, r=4)
     mpsnr_ok = abs(averaged.mpsnr - 37.6377) <= 0.2
     sam_ok = abs(averaged.sam - 3.4040) <= 0.1
     report(

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from oracles import build_split
 from lkcanet import cli, hsi
 from lkcanet import model as model_module
 from lkcanet.cli import load_split, main
-from lkcanet.hsi import PatchSpec, custom_protocol, read_cube
+from lkcanet.hsi import HsiCube, PatchSpec, custom_protocol, read_cube, write_cube
 from lkcanet.model import NetConfig, load_checkpoint
 from lkcanet.train import DistillConfig, TrainConfig
 
@@ -185,6 +186,71 @@ class TestPrepare:
         assert run("prepare", "--cube", str(workspace / "cube.hsc"), "--dataset", "custom",
                    "--scale", "2", "--out", str(again), "--config", str(manifest)) == 0
         assert (again / "split.json").read_bytes() == (workspace / "split" / "split.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def pavia_splits(tmp_path_factory):
+    """Pavia splits (x4, 256 px patches, no overlap) of a 2-band cube of the
+    protocol's exact 1096x715 shape and of a larger one, with their sources."""
+    root = tmp_path_factory.mktemp("pavia")
+    splits = {}
+    for name, (h, w) in {"exact": (1096, 715), "larger": (1100, 720)}.items():
+        data = np.random.default_rng(h).random((2, h, w), dtype=np.float32)
+        write_cube(HsiCube(data), root / f"{name}.hsc")
+        assert run("prepare", "--cube", str(root / f"{name}.hsc"), "--dataset", "pavia", "--scale", "4",
+                   "--patch-size", "256", "--overlap", "0", "--out", str(root / name)) == 0
+        splits[name] = (root / name, data)
+    return splits
+
+
+class TestLoadSplit:
+    @pytest.mark.parametrize("content", ["[1]", '{"test_files": 5, "scale_factor": 2}'])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_malformed_split_json_is_validation_error(self, workspace, tmp_path, capsys, command, content):
+        split = tmp_path / "split"
+        shutil.copytree(workspace / "split", split)
+        (split / "split.json").write_text(content)
+        flags = {"eval": ["--baseline", "bicubic"],
+                 "train": ["--out", str(tmp_path / "m.lkca"), "--epochs", "0", *TINY_MODEL_FLAGS]}
+        assert run(command, "--split", str(split), *flags[command]) == 3
+        assert "split.json" in capsys.readouterr().err
+
+    def test_changed_custom_source_is_validation_error(self, workspace, tmp_path, capsys):
+        cube = tmp_path / "cube.hsc"
+        shutil.copy(workspace / "cube.hsc", cube)
+        assert run("prepare", "--cube", str(cube), *SPLIT_FLAGS, "--out", str(tmp_path / "split")) == 0
+        write_cube(HsiCube(np.random.default_rng(1).random((4, 40, 40), dtype=np.float32)), cube)
+        code = run("train", "--split", str(tmp_path / "split"), "--out", str(tmp_path / "m.lkca"),
+                   "--epochs", "0", *TINY_MODEL_FLAGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "[4, 32, 32]" in err and "[4, 40, 40]" in err
+
+    @pytest.mark.parametrize("name", ["exact", "larger"])
+    def test_named_split_cuts_the_planned_patches(self, pavia_splits, name):
+        split_dir, data = pavia_splits[name]
+        split = load_split(split_dir)
+        manifest = json.loads((split_dir / "split.json").read_text())
+        assert [list(p.origin) for p in split.train] == manifest["train_origins"]
+        assert [list(p.origin) for p in split.val] == manifest["val_origins"]
+        dr, dc = (data.shape[1] - 1096) // 2, (data.shape[2] - 715) // 2
+        for pair in split.train + split.val:
+            r0, c0 = dr + pair.origin[0], dc + pair.origin[1]
+            assert np.array_equal(pair.hr, data[:, r0 : r0 + 256, c0 : c0 + 256])
+            assert np.array_equal(pair.lr, hsi.degrade_array(pair.hr, 4))
+
+    def test_named_split_holds_its_source_once(self, pavia_splits):
+        split_dir, data = pavia_splits["exact"]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            split = load_split(split_dir)
+            held, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert split.train
+        # Beside what the split keeps: the cube once, and one resize chunk's work.
+        assert peak <= held + data.nbytes + 2 * hsi._RESIZE_CHUNK_BYTES
 
 
 class TestTrainCli:

@@ -9,6 +9,7 @@ from lkcanet.losses import DecaySchedule, LossWeights
 from lkcanet.model import LkcaNet, NetConfig
 from lkcanet.train import (
     AdamState,
+    BicubicBaseline,
     DistillConfig,
     NonFiniteGradientError,
     TrainConfig,
@@ -266,16 +267,16 @@ class TestEvaluate:
         model = LkcaNet(tiny_config(), seed=0)
         model.load_state({name: np.zeros_like(v) for name, v in model.state_arrays().items()})
         got_model, _ = evaluate(model, split.test, r=2)
-        got_bicubic, _ = evaluate("bicubic", split.test, r=2)
+        got_bicubic, _ = evaluate(BicubicBaseline(2), split.test, r=2)
         assert got_model.as_dict() == got_bicubic.as_dict()
 
     def test_empty_regions_rejected(self):
         with pytest.raises(ValueError):
-            evaluate("bicubic", [], r=2)
+            evaluate(BicubicBaseline(2), [], r=2)
 
     def test_single_region_equals_per_region_value(self):
         split = tiny_split(seed=4, n_test=1)
-        avg, per_region = evaluate("bicubic", split.test, r=2)
+        avg, per_region = evaluate(BicubicBaseline(2), split.test, r=2)
         assert len(per_region) == 1
         assert avg.as_dict() == per_region[0].as_dict()
 
@@ -284,8 +285,3 @@ class TestEvaluate:
         model = LkcaNet(tiny_config(bands=8, ca_reduction=8), seed=0)
         with pytest.raises(ValueError):
             evaluate(model, split.test, r=2)
-
-    def test_unknown_baseline_rejected(self):
-        split = tiny_split(seed=6)
-        with pytest.raises(ValueError):
-            evaluate("nearest", split.test, r=2)
