@@ -7,6 +7,13 @@ into the leaves and freeing each interior node's tape as soon as its VJP has
 run. The contract is gradient correctness (checked against central finite
 differences), not any particular taping style.
 
+``backward`` reads only the root's value; each VJP reads the arrays its
+closure captured. A forward may therefore :func:`release` the values of
+interior temporaries it created once their consumers are recorded, so the
+tape holds only what backward reads. After a training forward, only leaves
+and the outputs a function returns are sure to keep ``.value``; reading the
+value of a released interior node is an error.
+
 Gradient recording can be suspended with :func:`no_grad`, e.g. for teacher
 forwards and validation passes.
 """
@@ -81,6 +88,18 @@ def record(value: np.ndarray, parents: tuple, vjp) -> Var:
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
+
+
+def release(*nodes: Var) -> None:
+    """Drop the values of recorded interior nodes that no VJP reads.
+
+    Leaves, and every node built while gradients are off, keep their values:
+    without a graph, dropping the last reference frees an array. Arrays that
+    a VJP closure captured stay alive through the closure.
+    """
+    for node in nodes:
+        if node._vjp is not None:
+            node.value = None
 
 
 def backward(root: Var) -> None:

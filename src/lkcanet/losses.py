@@ -65,13 +65,23 @@ def _pair(pred, target) -> tuple[Var, np.ndarray]:
     return p, t
 
 
+def _sign8(x: np.ndarray) -> np.ndarray:
+    """sign(x) as int8, built from comparisons: exact, a quarter of a float32
+    array, and NaN gives 0 with no cast warning. ``g * sign`` keeps g's
+    float dtype."""
+    s = (x > 0).view(np.int8)
+    s -= x < 0
+    return s
+
+
 def l1_loss(pred, target) -> Var:
     """Mean absolute error."""
     p, t = _pair(pred, target)
     diff = p.value - t
     n = diff.size
-    sgn = np.sign(diff)
-    return record(np.asarray(np.abs(diff).mean()), (p,), lambda g: (g * sgn / n,))
+    sgn = _sign8(diff)
+    val = np.asarray(np.abs(diff, out=diff).mean())
+    return record(val, (p,), lambda g: (g * sgn / n,))
 
 
 def _spectral_geometry(a: np.ndarray, b: np.ndarray):
@@ -95,27 +105,39 @@ def sam_loss(pred, target) -> Var:
     p, t = _pair(pred, target)
     if p.value.ndim != 4:
         raise ValueError(f"expected (N, B, H, W) inputs, got shape {p.shape}")
-    a = p.value
-    u, v, sa, degenerate = _spectral_geometry(a, t)
-    dq = np.sqrt(((u - v) ** 2).sum(axis=1, keepdims=True))
-    dp = np.sqrt(((u + v) ** 2).sum(axis=1, keepdims=True))
+    u, v, sa, degenerate = _spectral_geometry(p.value, t)
+    # One band-stack buffer serves u - v, u + v, u * v and the residual.
+    buf = np.subtract(u, v)
+    buf *= buf
+    dq = np.sqrt(buf.sum(axis=1, keepdims=True))
+    np.add(u, v, out=buf)
+    buf *= buf
+    dp = np.sqrt(buf.sum(axis=1, keepdims=True))
     theta = 2.0 * np.arctan2(dq, dp)
     npix = theta.size
     val = np.asarray(theta.mean())
 
-    cos = (u * v).sum(axis=1, keepdims=True)
+    np.multiply(u, v, out=buf)
+    cos = buf.sum(axis=1, keepdims=True)
     # d theta / d a = -(v - cos*u) / (|a| * sin); since |v - cos*u| = sin,
     # normalizing the residual keeps the magnitude at the exact bound 1/|a|
     # even for near-zero angles (where the direction is a subgradient choice).
-    resid = v - cos * u
+    resid = np.multiply(cos, u, out=buf)
+    np.subtract(v, resid, out=resid)
+    del u, v
     rnorm = np.sqrt((resid * resid).sum(axis=1, keepdims=True))
-    direction = np.where(rnorm > 1e-12, resid / np.maximum(rnorm, 1e-300), 0.0)
+    # Divide only where the residual has a direction: a float32 rnorm of 0
+    # would otherwise divide 0 by 0.
+    turning = rnorm > 1e-12
+    np.divide(resid, rnorm, out=resid, where=turning)
+    np.copyto(resid, 0.0, where=~turning)
+    # The gradient without g, -direction / |a|, built here so the VJP holds
+    # one array.
+    ga = np.negative(resid, out=resid)
+    ga /= sa
+    np.copyto(ga, 0.0, where=degenerate)
 
-    def vjp(g):
-        ga = np.where(degenerate, 0.0, -direction / sa)
-        return ((g / npix) * ga,)
-
-    return record(val, (p,), vjp)
+    return record(val, (p,), lambda g: ((g / npix) * ga,))
 
 
 def cos_loss(pred, target) -> Var:
@@ -144,6 +166,22 @@ def cos_loss(pred, target) -> Var:
     return record(val, (p,), vjp)
 
 
+# (later, earlier) sample of each forward difference, along rows and columns.
+_ROWS = (np.s_[:, :, 1:, :], np.s_[:, :, :-1, :])
+_COLS = (np.s_[:, :, :, 1:], np.s_[:, :, :, :-1])
+
+
+def _residual_sign(a: np.ndarray, t: np.ndarray, pair) -> tuple[np.ndarray, np.generic]:
+    """sign(r) as int8 and |r|.sum() for r = (a[hi] - a[lo]) - (t[hi] - t[lo])."""
+    hi, lo = pair
+    r = a[hi] - a[lo]
+    dt = t[hi] - t[lo]
+    r = np.subtract(r, dt, out=r if r.dtype == np.result_type(r, dt) else None)
+    del dt
+    sgn = _sign8(r)
+    return sgn, np.abs(r, out=r).sum()
+
+
 def grad_loss(pred, target) -> Var:
     """Mean absolute difference of forward-difference spatial gradients,
     pooled over both axes and all bands."""
@@ -151,21 +189,22 @@ def grad_loss(pred, target) -> Var:
     if p.value.ndim != 4:
         raise ValueError(f"expected (N, B, H, W) inputs, got shape {p.shape}")
     a = p.value
-    ry = (a[:, :, 1:, :] - a[:, :, :-1, :]) - (t[:, :, 1:, :] - t[:, :, :-1, :])
-    rx = (a[:, :, :, 1:] - a[:, :, :, :-1]) - (t[:, :, :, 1:] - t[:, :, :, :-1])
-    n = ry.size + rx.size
-    val = np.asarray((np.abs(ry).sum() + np.abs(rx).sum()) / n)
-    sy = np.sign(ry)
-    sx = np.sign(rx)
+    # The rows' residual is reduced to its sign and |sum| before the
+    # columns' is built, and each VJP term is freed before the next.
+    sy, abs_y = _residual_sign(a, t, _ROWS)
+    sx, abs_x = _residual_sign(a, t, _COLS)
+    n = sy.size + sx.size
+    val = np.asarray((abs_y + abs_x) / n)
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        ga = np.zeros_like(a)
-        gy = g * sy / n
-        gx = g * sx / n
-        ga[:, :, 1:, :] += gy
-        ga[:, :, :-1, :] -= gy
-        ga[:, :, :, 1:] += gx
-        ga[:, :, :, :-1] -= gx
+        ga = np.zeros(shape, dtype=dtype)
+        for sgn, (hi, lo) in ((sy, _ROWS), (sx, _COLS)):
+            term = g * sgn
+            term /= n
+            ga[hi] += term
+            ga[lo] -= term
+            del term
         return (ga,)
 
     return record(val, (p,), vjp)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import ops
-from .autodiff import Var, as_var, no_grad
+from .autodiff import Var, as_var, no_grad, release
 from .hsi import resize_bands
 
 CHECKPOINT_MAGIC = b"LKCACKPT"
@@ -294,6 +294,7 @@ class LkcaNet:
         a1 = ops.conv2d(f_u, p[pre + "dw1.weight"], p[pre + "dw1.bias"], dilation=d1, groups=c)
         a2 = ops.conv2d(a1, p[pre + "dw2.weight"], p[pre + "dw2.bias"], dilation=d2, groups=c)
         a_c = ops.concat_channels([f_u, a1, a2])
+        release(a2)  # concat copied it; dw2's VJP reads a1, not a2
         a_ca = ops.channel_attention(
             a_c,
             p[pre + "ca.fc1.weight"],
@@ -315,8 +316,10 @@ class LkcaNet:
         t = ops.gelu(t)
         t = self.lkca_forward(t, block)
         t = ops.conv2d(t, p[pre + "proj_out.weight"], p[pre + "proj_out.bias"])
-        t = ops.drop_path(t, cfg.drop_path_rate, rng, training)
-        return ops.add(x, t)
+        dropped = ops.drop_path(t, cfg.drop_path_rate, rng, training)
+        out = ops.add(x, dropped)
+        release(t, dropped)
+        return out
 
     def forward(self, x, training: bool = False, rng=None) -> tuple[Var, Var]:
         """Super-resolve a batch.
@@ -338,12 +341,19 @@ class LkcaNet:
                 f"got {x.shape}"
             )
         p = self.params
+        # Each feature map is released once its consumer is recorded, and
+        # its name is dropped at once: without a graph that frees it.
         f = ops.conv2d(x, p["head.weight"], p["head.bias"])
         for i in range(cfg.num_blocks):
-            f = self.lkb_forward(f, i, training=training, rng=rng)
-        f = ops.conv2d(f, p["upsampler.weight"], None, groups=cfg.upsampler_groups)
+            f_in, f = f, self.lkb_forward(f, i, training=training, rng=rng)
+            release(f_in)
+            del f_in
+        f_in, f = f, ops.conv2d(f, p["upsampler.weight"], None, groups=cfg.upsampler_groups)
+        release(f_in)
+        del f_in
         f_up = ops.pixel_shuffle(f, cfg.scale_factor)
-        # Without a graph nothing else holds the pre-shuffle map: free it before the skip is built.
+        # The pre-shuffle map is gone before the skip is built.
+        release(f)
         del f
         r = cfg.scale_factor
         skip = resize_bands(x.value, x.shape[2] * r, x.shape[3] * r)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .autodiff import Var, as_var, record
+from .autodiff import Var, as_var, record, release
 
 _SQRT1_2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -175,14 +175,15 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int):
         cols = _im2col(xv, k, dilation, groups)  # (n, g, cg*k*k, h*w)
     wmat = wv.reshape(groups, cout // groups, -1)
     out = np.matmul(wmat, cols).reshape(n, cout, h, w)
+    x_shape = xv.shape  # beyond a 1x1's reshape of it, the VJP needs no input
 
     def vjp(g):
         go = g.reshape(n, groups, cout // groups, h * w)
         gw = np.matmul(go, cols.swapaxes(-1, -2)).sum(axis=0).reshape(wv.shape)
         gcols = np.matmul(wmat.swapaxes(-1, -2), go)
         if k == 1:
-            return gcols.reshape(xv.shape), gw
-        return _col2im(gcols, xv.shape, k, dilation), gw
+            return gcols.reshape(x_shape), gw
+        return _col2im(gcols, x_shape, k, dilation), gw
 
     return out, vjp
 
@@ -243,7 +244,7 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, g
         out, conv_vjp = _matmul_conv(x.value, weight.value, dilation, groups)
     if bias is None:
         return record(out, (x, weight), conv_vjp)
-    out = out + bias.value[:, None, None]
+    out += bias.value[:, None, None]  # the product has no other owner
 
     def vjp(g):
         gx, gw = conv_vjp(g)
@@ -413,8 +414,11 @@ def channel_attention(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
     Channel divisibility by the reduction is fixed by the weight shapes.
     """
     squeezed = global_avg_pool(x)
-    hidden = relu(linear(squeezed, w1, b1))
-    gate = sigmoid(linear(hidden, w2, b2))
+    z1 = linear(squeezed, w1, b1)
+    hidden = relu(z1)
+    z2 = linear(hidden, w2, b2)
+    gate = sigmoid(z2)
+    release(z1, z2)  # relu keeps its mask and sigmoid its output
     return broadcast_gate(x, gate)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import backward, no_grad
+from .autodiff import backward, no_grad, release
 from .hsi import HsiCube, degrade, resize_bands
 from .losses import DecaySchedule, LossWeights, h_loss, kd_loss, total_loss
 from .metrics import MetricResult, average_metrics, evaluate_metrics, mpsnr
@@ -210,6 +210,8 @@ def _fit(
             xs = np.stack([split.train[i].lr for i in batch])
             ys = np.stack([split.train[i].hr for i in batch])
             i_sr, f_up = model.forward(xs, training=True, rng=rng)
+            if coeff == 0.0:
+                release(f_up)  # only the kd term reads it
             h = h_loss(i_sr, ys, weights)
             if coeff != 0.0:
                 with no_grad():
@@ -222,6 +224,9 @@ def _fit(
             else:
                 loss = h
                 kd_vals.append(0.0)
+            # The loss VJPs keep what they read; freeing the outputs here
+            # also keeps them out of the next step.
+            release(i_sr, f_up)
             h_vals.append(float(h.value))
 
             if not np.isfinite(loss.value):

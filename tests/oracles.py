@@ -13,6 +13,11 @@
   rather than through ``lowrank``'s own group slicing.
 - ``build_split``: planning and cutting a split in one call, as
   ``lkcanet prepare`` followed by a training load does.
+- ``composed_forward``: the network's training forward written out in
+  primitives, releasing no value; ``sign_loss_grads``: the L1 and gradient
+  loss VJPs with float sign arrays.
+- ``graph_nodes``, ``buffer_of`` and ``vjp_buffers``: what a recorded graph
+  holds, and which buffers its VJP closures keep.
 """
 
 import math
@@ -20,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from lkcanet import ops
 from lkcanet.autodiff import Var, as_var, backward, no_grad, record
-from lkcanet.hsi import _cubic_taps, cut_split, plan_split
+from lkcanet.hsi import _cubic_taps, cut_split, plan_split, resize_bands
 
 # The finite-difference checker's step, the seed of its fixed projection of
 # a tensor output to a scalar, and the number of failing elements a report
@@ -350,3 +356,98 @@ def build_split(cube, protocol, spec, seed=0):
     """Plan a split and cut its train/val patches at once; test regions are
     kept whole (see ``lkcanet.hsi.plan_split``)."""
     return cut_split(*plan_split(cube, protocol, spec, seed))
+
+
+# ---------------------------------------------------------------------------
+# The training graph
+# ---------------------------------------------------------------------------
+
+
+def composed_forward(net, x, rng):
+    """``net.forward(x, training=True, rng=rng)`` written out in primitives,
+    with every interior value left in place. Returns (i_sr, f_up)."""
+    cfg, p = net.config, net.params
+    d1, d2 = cfg.dilations
+    c = cfg.feature_channels
+    f = ops.conv2d(Var(x), p["head.weight"], p["head.bias"])
+    for i in range(cfg.num_blocks):
+        def q(name):
+            return p[f"blocks.{i}.{name}"]
+
+        t = ops.layer_norm(f, q("norm.gamma"), q("norm.beta"))
+        t = ops.gelu(ops.conv2d(t, q("proj_in.weight"), q("proj_in.bias")))
+        a1 = ops.conv2d(t, q("dw1.weight"), q("dw1.bias"), dilation=d1, groups=c)
+        a2 = ops.conv2d(a1, q("dw2.weight"), q("dw2.bias"), dilation=d2, groups=c)
+        a_c = ops.concat_channels([t, a1, a2])
+        hidden = ops.relu(ops.linear(ops.global_avg_pool(a_c), q("ca.fc1.weight"), q("ca.fc1.bias")))
+        gate = ops.sigmoid(ops.linear(hidden, q("ca.fc2.weight"), q("ca.fc2.bias")))
+        a_f = ops.conv2d(ops.broadcast_gate(a_c, gate), q("fuse.weight"), q("fuse.bias"),
+                         groups=cfg.lkca_groups)
+        t = ops.conv2d(ops.mul(a_f, t), q("proj_out.weight"), q("proj_out.bias"))
+        f = ops.add(f, ops.drop_path(t, cfg.drop_path_rate, rng, True))
+    f = ops.conv2d(f, p["upsampler.weight"], None, groups=cfg.upsampler_groups)
+    f_up = ops.pixel_shuffle(f, cfg.scale_factor)
+    r = cfg.scale_factor
+    return ops.add_const(f_up, resize_bands(x, x.shape[2] * r, x.shape[3] * r)), f_up
+
+
+def sign_loss_grads(a, t):
+    """Gradients of ``l1_loss(a, t)`` and ``grad_loss(a, t)`` for a unit
+    upstream gradient, built with float ``np.sign`` arrays."""
+    g = np.ones((), dtype=a.dtype)
+    diff = a - t
+    g_l1 = g * np.sign(diff) / diff.size
+    ry = (a[:, :, 1:, :] - a[:, :, :-1, :]) - (t[:, :, 1:, :] - t[:, :, :-1, :])
+    rx = (a[:, :, :, 1:] - a[:, :, :, :-1]) - (t[:, :, :, 1:] - t[:, :, :, :-1])
+    n = ry.size + rx.size
+    gy = g * np.sign(ry) / n
+    gx = g * np.sign(rx) / n
+    g_grad = np.zeros_like(a)
+    g_grad[:, :, 1:, :] += gy
+    g_grad[:, :, :-1, :] -= gy
+    g_grad[:, :, :, 1:] += gx
+    g_grad[:, :, :, :-1] -= gx
+    return g_l1, g_grad
+
+
+def graph_nodes(root):
+    """Every node reachable from ``root`` through recorded parents."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def buffer_of(a):
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def vjp_buffers(nodes):
+    """{id: nbytes} of the buffers behind every array that a node's VJP
+    captured, searched through nested closures, tuples and lists."""
+    buffers, seen = {}, set()
+    stack = [node._vjp for node in nodes if node._vjp is not None]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            owner = buffer_of(obj)
+            buffers[id(owner)] = owner.nbytes
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not yet bound
+                    continue
+    return buffers

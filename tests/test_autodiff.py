@@ -5,7 +5,7 @@ import pytest
 from oracles import project_scalar
 
 from lkcanet import ops
-from lkcanet.autodiff import Var, backward, no_grad, record
+from lkcanet.autodiff import Var, backward, no_grad, record, release
 from lkcanet.ops import add, mul, scale
 
 
@@ -77,3 +77,27 @@ class TestGraph:
             assert node.grad is None
         assert buffers[0]() is None
         assert x.grad is not None and w.grad is not None
+
+
+class TestRelease:
+    def test_drops_recorded_values_only(self):
+        x = Var(np.array([1.0, 2.0]))
+        y = scale(x, 2.0)
+        with no_grad():
+            z = scale(x, 3.0)
+        release(x, y, z)
+        assert y.value is None
+        assert np.array_equal(x.value, [1.0, 2.0])
+        assert np.array_equal(z.value, [3.0, 6.0])
+        with pytest.raises(AttributeError):
+            y.shape  # reading a released value is an error
+
+    def test_captured_values_still_reach_the_gradient(self):
+        # mul's VJP captured y's array, so releasing the node frees nothing
+        # that backward reads: d(x^4)/dx = 4x^3.
+        x = Var(np.array([1.0, 2.0]))
+        y = mul(x, x)
+        z = mul(y, y)
+        release(y)
+        backward(project_scalar(z, np.ones(2)))
+        assert np.array_equal(x.grad, [4.0, 32.0])

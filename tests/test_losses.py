@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from oracles import grad_check, loop_cos, loop_grad, loop_l1, loop_sam
+from oracles import grad_check, loop_cos, loop_grad, loop_l1, loop_sam, sign_loss_grads
 
 from lkcanet.autodiff import Var, backward
 from lkcanet.losses import (
@@ -180,3 +182,41 @@ class TestDecayAndTotals:
         assert float(kd.value) == 0.0
         total = total_loss(kd, h, decay=1.0, alpha=0.01)
         assert float(total.value) == float(h.value)
+
+
+class TestFloat32:
+    """The training dtype: no float warning and exact sign gradients."""
+
+    def test_identical_spectra_emit_no_warning(self):
+        # Identical spectra can leave an exactly zero residual; a guard of
+        # 1e-300 underflows to 0 in float32 and would divide 0 by 0.
+        a, b = (x.astype(np.float32) for x in rand_pair(9))
+        b[:, :, :6] = a[:, :, :6]
+        p = Var(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = sam_loss(p, b)
+            backward(loss)
+        assert loss.value.dtype == np.float32 and np.isfinite(loss.value)
+        assert p.grad.dtype == np.float32 and np.all(np.isfinite(p.grad))
+
+    def test_sign_gradients_equal_float_signs(self):
+        a, t = (x.astype(np.float32) for x in rand_pair(10))
+        a[:, :, ::3] = t[:, :, ::3]  # ties give sign 0
+        expected = sign_loss_grads(a, t)
+        for loss, want in zip((l1_loss, grad_loss), expected):
+            p = Var(a.copy())
+            backward(loss(p, t))
+            assert p.grad.dtype == np.float32
+            assert np.array_equal(p.grad, want)
+
+    def test_nan_input_gives_nan_loss_without_warning(self):
+        a, t = (x.astype(np.float32) for x in rand_pair(11))
+        a[0, 0, 3, 3] = np.nan
+        for loss in (l1_loss, grad_loss):
+            p = Var(a.copy())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = loss(p, t)
+                backward(value)
+            assert np.isnan(value.value)

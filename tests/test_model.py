@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import grad_check
+from oracles import composed_forward, grad_check
 
 from lkcanet import model as model_module
 from lkcanet import ops
 from lkcanet.autodiff import Var, backward, no_grad
 from lkcanet.hsi import resize_bands
+from lkcanet.losses import h_loss
 from lkcanet.model import (
     CheckpointError,
     LkcaNet,
@@ -154,6 +155,22 @@ class TestForward:
             ref_sr = ref_up.value + resize_bands(x, 12, 12)
         assert np.array_equal(f_up.value, ref_up.value)
         assert np.array_equal(i_sr.value, ref_sr)
+
+    def test_released_graph_gives_the_primitive_gradients(self):
+        # The forward releases interior values; a composition that keeps
+        # them all must give the same parameter gradients, bit for bit.
+        model = LkcaNet(toy_config(drop_path_rate=0.3), seed=7)
+        rng = np.random.default_rng(6)
+        x = rng.random((3, 4, 6, 6), dtype=np.float32)
+        y = rng.random((3, 4, 12, 12), dtype=np.float32)
+        grads = []
+        for forward in (model.forward, lambda x, training, rng: composed_forward(model, x, rng)):
+            model.zero_grad()
+            i_sr, _ = forward(x, training=True, rng=np.random.default_rng(0))
+            backward(h_loss(i_sr, y))
+            grads.append({name: v.grad for name, v in model.params.items()})
+        for name, g in grads[0].items():
+            assert g is not None and np.array_equal(g, grads[1][name]), name
 
     def test_predict_holds_two_outputs(self):
         # The pre-shuffle map is freed before the skip is built and the sum

@@ -1,8 +1,10 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import probe_config, synthetic_split
+from oracles import buffer_of, graph_nodes, vjp_buffers
 
 from lkcanet.autodiff import Var
 from lkcanet.losses import DecaySchedule, LossWeights
@@ -183,6 +185,96 @@ class TestTrain:
         assert result.history == []
         for k, v in result.model.state_arrays().items():
             assert np.array_equal(v, start[k])
+
+
+class TestTrainingTape:
+    """The graph of one training step, seen by the backward that consumes it."""
+
+    @staticmethod
+    def _one_step(monkeypatch, student, teacher=None, r=2, *, before_forward=None,
+                  before_backward=None, after_backward=None):
+        """Run one step of train (or distill) with hooks around its training
+        forward and its backward, which ``before_backward`` gets the root of.
+        Returns the reconstruction's size in bytes."""
+        train_mod = importlib.import_module("lkcanet.train")
+        forward, backward = LkcaNet.forward, train_mod.backward
+        sizes = []
+
+        def spy_forward(net, x, training=False, rng=None):
+            if training and before_forward:
+                before_forward()
+            out = forward(net, x, training=training, rng=rng)
+            if training:
+                sizes.append(out[0].value.nbytes)
+            return out
+
+        def spy_backward(root):
+            if before_backward:
+                before_backward(root)
+            backward(root)
+            if after_backward:
+                after_backward()
+
+        monkeypatch.setattr(LkcaNet, "forward", spy_forward)
+        monkeypatch.setattr(train_mod, "backward", spy_backward)
+        split = synthetic_split(n_train=2, n_val=0, n_test=0, bands=student.config.bands,
+                                patch=16 * r, r=r)
+        cfg = TrainConfig(epochs=1, batch_size=2)
+        if teacher is None:
+            train(student, split, cfg)
+        else:
+            distill(teacher, student, split, cfg)
+        assert len(sizes) == 1
+        return sizes[0]
+
+    @pytest.mark.parametrize("distilling", [False, True], ids=["train", "distill"])
+    def test_step_holds_only_what_backward_reads(self, monkeypatch, distilling):
+        # Every array-valued interior node is released or is memory that a
+        # VJP captured. The loss terms are scalars.
+        unread = []
+
+        def check(root):
+            nodes = graph_nodes(root)
+            kept = vjp_buffers(nodes)
+            unread.extend(
+                n.value.shape for n in nodes
+                if n._vjp is not None and n.value is not None and n.value.ndim > 0
+                and id(buffer_of(n.value)) not in kept
+            )
+
+        student = LkcaNet(tiny_config(drop_path_rate=0.5), seed=0)
+        teacher = LkcaNet(tiny_config(num_blocks=3), seed=1) if distilling else None
+        self._one_step(monkeypatch, student, teacher, before_backward=check)
+        assert unread == []
+
+    def test_step_peak_above_the_tape(self, monkeypatch):
+        # Above what the VJPs keep, a step peaks in the loss's forward and
+        # backward with a few arrays of the reconstruction's size: 3.7
+        # reconstructions at this shape. Keeping every interior value and
+        # float sign arrays made it 7.3.
+        seen = {}
+
+        def start():
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+
+        def tape(root):
+            nodes = graph_nodes(root)
+            leaves = {id(buffer_of(n.value)) for n in nodes if n._vjp is None}
+            seen["tape"] = sum(nb for key, nb in vjp_buffers(nodes).items() if key not in leaves)
+
+        def stop():
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+
+        tracemalloc.start()
+        try:
+            sr = self._one_step(monkeypatch, LkcaNet(probe_config(drop_path_rate=0.1), seed=0),
+                                r=4, before_forward=start, before_backward=tape,
+                                after_backward=stop)
+        finally:
+            tracemalloc.stop()
+        above = (seen["peak"] - seen["tape"]) / sr
+        assert above <= 5.5, f"the step peaks {above:.2f} reconstructions above its tape"
 
 
 class TestDistill:
