@@ -22,7 +22,6 @@ from .metrics import MetricResult, evaluate_metrics
 from .model import (
     LkcaNet,
     NetConfig,
-    UpsamplerSpec,
     load_checkpoint,
     param_breakdown,
     save_checkpoint,
@@ -57,7 +56,6 @@ __all__ = [
     "weights_to_matrix",
     "LkcaNet",
     "NetConfig",
-    "UpsamplerSpec",
     "param_breakdown",
     "save_checkpoint",
     "load_checkpoint",

@@ -33,7 +33,7 @@ from .hsi import (
 )
 from .linalg import SvdConvergenceError
 from .losses import DecaySchedule, LossWeights
-from .lowrank import GROUPED_INITS, analyze_upsampler, build_grouped
+from .lowrank import GROUPED_INITS, analyze_upsampler, build_grouped, group_variants
 from .metrics import MetricResult
 from .model import (
     CheckpointError,
@@ -418,21 +418,17 @@ def _cmd_approximate(ns) -> int:
     settings = _resolve(ns, {"groups": None, "init": None, "seed": TrainConfig.seed})
     model, metadata = load_checkpoint(ns.checkpoint)
     if model.config.upsampler_groups != 1:
-        raise ValueError(
-            f"checkpoint upsampler is already {model.config.upsampler_spec().kind}"
-        )
+        raise ValueError(f"checkpoint upsampler is already {model.config.upsampler_kind}")
+    config = model.config.with_upsampler_groups(ns.groups)
     rng = np.random.default_rng(settings["seed"])
-    spec, weights = build_grouped(
-        model.params["upsampler.weight"].value, ns.groups, init=ns.init, rng=rng
-    )
-    state = {**model.state_arrays(), "upsampler.weight": weights}
-    grouped = LkcaNet.from_state(model.config.with_upsampler_groups(ns.groups), state)
+    weights = build_grouped(model.params["upsampler.weight"].value, ns.groups, init=ns.init, rng=rng)
+    grouped = LkcaNet.from_state(config, {**model.state_arrays(), "upsampler.weight": weights})
     metadata = {**metadata, "approximated_from": str(ns.checkpoint), "upsampler_init": ns.init}
     save_checkpoint(grouped, ns.out, metadata)
     _write_outputs("approximate", settings, [ns.checkpoint], [ns.out])
     print(
-        f"rewrote upsampler to {spec.kind}: {spec.param_count() * ns.groups} -> "
-        f"{spec.param_count()} parameters"
+        f"rewrote upsampler to {config.upsampler_kind}: {param_breakdown(model.config)['upsampler']} -> "
+        f"{param_breakdown(config)['upsampler']} parameters"
     )
     return 0
 
@@ -477,11 +473,8 @@ def _cmd_bench(ns) -> int:
     flops = flops_breakdown(config, h, w)
     total_params = sum(params.values())
     upsampler_share = params["upsampler"] / total_params
-    grouped_counts = {
-        g: config.upsampler_spec().param_count() // g
-        for g in (1, 2, 4, 8, 16)
-        if config.feature_channels % g == 0 and config.upsampler_out % g == 0
-    }
+    variants = group_variants(config)
+    grouped_counts = {g: param_breakdown(v)["upsampler"] for g, v in variants.items()}
     payload = {
         "config": config.to_dict(),
         "input_size": [h, w],
@@ -496,12 +489,11 @@ def _cmd_bench(ns) -> int:
     if ns.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print(f"configuration: {config.upsampler_spec().kind} upsampler, {bands} bands, x{scale}")
+    print(f"configuration: {config.upsampler_kind} upsampler, {bands} bands, x{scale}")
     print(f"parameters: {total_params:,} total; upsampler {params['upsampler']:,} "
           f"({upsampler_share:.1%} share)")
     for g, count in grouped_counts.items():
-        tag = "full" if g == 1 else f"grouped({g})"
-        print(f"  upsampler {tag:>12}: {count:,}")
+        print(f"  upsampler {variants[g].upsampler_kind:>12}: {count:,}")
     print(f"flops at {h}x{w}: {sum(flops.values()):,}")
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import cumulative_energy, rank_at_energy, svd
-from .model import LkcaNet, NetConfig, UpsamplerSpec, he_normal
+from .model import LkcaNet, NetConfig, he_normal, param_breakdown
 
 # Flattening order is fixed because block-diagonal structure (unlike rank)
 # depends on it.
@@ -79,27 +79,29 @@ def weights_to_matrix(weights: np.ndarray) -> np.ndarray:
     return w.reshape(w.shape[0], -1)
 
 
-def choose_groups(
-    config: NetConfig, candidates=(2, 4, 8, 16), default: int = 8
-) -> int:
-    """Pick the group count for the approximated upsampler.
+# Upsampler group counts a config is tried at, and the recommended one.
+GROUP_CANDIDATES = (1, 2, 4, 8, 16)
+DEFAULT_GROUPS = 8
 
-    Candidates that fail divisibility against either channel count are
-    rejected. The configured default wins when valid; otherwise the largest
-    valid candidate not exceeding it, else the smallest valid one.
-    """
-    c_in = config.feature_channels
-    c_out = config.upsampler_out
-    valid = sorted(g for g in set(candidates) if g >= 1 and c_in % g == 0 and c_out % g == 0)
-    if not valid:
-        raise ValueError(
-            f"no candidate in {sorted(set(candidates))} divides both C={c_in} and "
-            f"out={c_out}; {_GROUP_NOTE}"
-        )
-    if default in valid:
-        return default
-    below = [g for g in valid if g < default]
-    return max(below) if below else min(valid)
+
+def group_variants(config: NetConfig) -> dict[int, NetConfig]:
+    """``config`` at each candidate upsampler group count it accepts."""
+    variants = {}
+    for g in GROUP_CANDIDATES:
+        try:
+            variants[g] = config.with_upsampler_groups(g)
+        except ValueError:
+            pass
+    return variants
+
+
+def choose_groups(config: NetConfig) -> int:
+    """Pick the group count for the approximated upsampler: the default when
+    the config accepts it, otherwise the largest accepted count below it."""
+    accepted = [g for g in group_variants(config) if 1 < g <= DEFAULT_GROUPS]
+    if not accepted:
+        raise ValueError(f"the config accepts no grouped upsampler up to g={DEFAULT_GROUPS}; {_GROUP_NOTE}")
+    return max(accepted)
 
 
 # Initializations of the grouped upsampler; the first is the default.
@@ -114,26 +116,25 @@ def analyze_upsampler(model: LkcaNet) -> RankReport:
     and summarize its spectrum. Analysis runs in double precision regardless
     of the model dtype.
     """
-    spec = model.config.upsampler_spec()
-    if spec.groups != 1:
+    config = model.config
+    if config.upsampler_groups != 1:
         raise ValueError(
             "rank analysis targets the full upsampler; this checkpoint already "
-            f"uses {spec.kind}"
+            f"uses {config.upsampler_kind}"
         )
     matrix = weights_to_matrix(model.params["upsampler.weight"].value.astype(np.float64))
     result = svd(matrix)
     cumulative = cumulative_energy(result.sigma)
     rank_at = {f"{t:.2f}": rank_at_energy(result.sigma, t) for t in RANK_THRESHOLDS}
-    g = choose_groups(model.config)
-    grouped = UpsamplerSpec(spec.in_channels, spec.out_channels, spec.kernel, g)
+    g = choose_groups(config)
     return RankReport(
         matrix_shape=matrix.shape,
         sigma=result.sigma,
         cumulative=cumulative,
         rank_at=rank_at,
         recommended_groups=g,
-        params_full=spec.param_count(),
-        params_grouped=grouped.param_count(),
+        params_full=param_breakdown(config)["upsampler"],
+        params_grouped=param_breakdown(config.with_upsampler_groups(g))["upsampler"],
     )
 
 
@@ -142,7 +143,7 @@ def build_grouped(
     groups: int,
     init: str = GROUPED_INITS[0],
     rng: np.random.Generator | None = None,
-) -> tuple[UpsamplerSpec, np.ndarray]:
+) -> np.ndarray:
     """Construct the grouped replacement of a full upsampling convolution.
 
     ``init="random"`` draws fresh He-normal weights (the approximated network
@@ -150,22 +151,21 @@ def build_grouped(
     ``init="svd_blocks"`` copies the diagonal blocks of the full weight
     matrix, the best block-diagonal approximation in Frobenius norm.
 
-    Returns the grouped spec and a (C_out, C_in / g, k, k) weight tensor
-    holding exactly 1/g of the full layer's parameters.
+    Returns the (C_out, C_in / g, k, k) weight tensor, holding exactly 1/g of
+    the full layer's parameters.
     """
     w = np.asarray(full_weights)
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
         raise ValueError(f"expected (C_out, C_in, k, k) weights, got {w.shape}")
     c_out, c_in, k, _ = w.shape
-    spec = UpsamplerSpec(c_in, c_out, k, groups)  # validates divisibility
-
+    if groups < 1 or c_in % groups or c_out % groups:
+        raise ValueError(f"groups={groups} must divide in={c_in} and out={c_out} channels")
     if init not in GROUPED_INITS:
         raise ValueError(f"unknown init mode {init!r}; expected one of {GROUPED_INITS}")
+    rows, cin = c_out // groups, c_in // groups
     if init == "random":
-        gw = he_normal(rng or np.random.default_rng(0), spec.weight_shape, w.dtype)
-    else:
-        gw = np.empty(spec.weight_shape, dtype=w.dtype)
-        rows, cin = c_out // groups, c_in // groups
-        for b in range(groups):
-            gw[b * rows : (b + 1) * rows] = w[b * rows : (b + 1) * rows, b * cin : (b + 1) * cin]
-    return spec, gw
+        return he_normal(rng or np.random.default_rng(0), (c_out, cin, k, k), w.dtype)
+    gw = np.empty((c_out, cin, k, k), dtype=w.dtype)
+    for b in range(groups):
+        gw[b * rows : (b + 1) * rows] = w[b * rows : (b + 1) * rows, b * cin : (b + 1) * cin]
+    return gw

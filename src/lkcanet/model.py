@@ -33,42 +33,6 @@ class CheckpointError(ValueError):
 
 
 @dataclass(frozen=True)
-class UpsamplerSpec:
-    """Shape contract of the learnable upsampling convolution.
-
-    The convolution feeds a pixel shuffle, so its output channels must be
-    bands * r^2. ``groups > 1`` is the low-rank (block-diagonal) variant;
-    weights hold exactly ``in_channels * out_channels * kernel^2 / groups``
-    parameters (the layer is bias-free, so this count is exact).
-    """
-
-    in_channels: int
-    out_channels: int
-    kernel: int = 3
-    groups: int = 1
-
-    def __post_init__(self):
-        if self.groups < 1:
-            raise ValueError(f"groups must be >= 1, got {self.groups}")
-        if self.in_channels % self.groups or self.out_channels % self.groups:
-            raise ValueError(
-                f"groups={self.groups} must divide in={self.in_channels} "
-                f"and out={self.out_channels} channels"
-            )
-
-    @property
-    def kind(self) -> str:
-        return "full" if self.groups == 1 else f"grouped({self.groups})"
-
-    @property
-    def weight_shape(self) -> tuple[int, int, int, int]:
-        return (self.out_channels, self.in_channels // self.groups, self.kernel, self.kernel)
-
-    def param_count(self) -> int:
-        return self.in_channels * self.out_channels * self.kernel**2 // self.groups
-
-
-@dataclass(frozen=True)
 class NetConfig:
     """Architecture hyperparameters.
 
@@ -102,22 +66,20 @@ class NetConfig:
             raise ValueError(
                 f"ca_reduction={self.ca_reduction} must divide the attention width 3C={3 * c}"
             )
+        g, out = self.upsampler_groups, self.upsampler_out
+        if g < 1 or c % g or out % g:
+            raise ValueError(f"upsampler_groups={g} must be >= 1 and divide C={c} and bands*r^2={out}")
         if not (0.0 <= self.drop_path_rate <= 1.0):
             raise ValueError(f"drop_path_rate must lie in [0, 1], got {self.drop_path_rate}")
-        self.upsampler_spec()  # validates the group divisibility
 
     @property
     def upsampler_out(self) -> int:
         # Pixel shuffle demands bands * r^2 channels into the rearrangement.
         return self.bands * self.scale_factor**2
 
-    def upsampler_spec(self) -> UpsamplerSpec:
-        return UpsamplerSpec(
-            in_channels=self.feature_channels,
-            out_channels=self.upsampler_out,
-            kernel=3,
-            groups=self.upsampler_groups,
-        )
+    @property
+    def upsampler_kind(self) -> str:
+        return "full" if self.upsampler_groups == 1 else f"grouped({self.upsampler_groups})"
 
     def with_upsampler_groups(self, groups: int) -> "NetConfig":
         return replace(self, upsampler_groups=groups)
@@ -177,7 +139,8 @@ def layer_shapes(config: NetConfig) -> dict[str, dict[str, tuple[int, ...]]]:
         }
         table[p + "fuse"] = {"weight": (c, 3 * c // config.lkca_groups, 1, 1), "bias": (c,)}
         table[p + "proj_out"] = {"weight": (c, c, 1, 1), "bias": (c,)}
-    table["upsampler"] = {"weight": config.upsampler_spec().weight_shape}
+    # Bias-free; g > 1 is the low-rank (block-diagonal) variant, 1/g of the weights.
+    table["upsampler"] = {"weight": (config.upsampler_out, c // config.upsampler_groups, 3, 3)}
     return table
 
 

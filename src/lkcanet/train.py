@@ -241,6 +241,7 @@ def _fit(
                 break
 
         if diverged:
+            model.zero_grad()  # no gradient outlives the run
             model.load_state(last_good)
             return TrainResult(model, history, best[0], best[1], diverged=diverged)
 
@@ -259,6 +260,7 @@ def _fit(
         if val is not None and (best[1] is None or val > best[1]):
             best = (epoch, val, last_good)
 
+    model.zero_grad()
     if best[2] is not None:
         model.load_state(best[2])
     return TrainResult(model, history, best[0], best[1])

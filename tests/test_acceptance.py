@@ -42,7 +42,7 @@ from lkcanet.losses import (
 )
 from lkcanet.lowrank import build_grouped, weights_to_matrix
 from lkcanet.metrics import cc, ergas, evaluate_metrics, mpsnr, mssim, rmse, sam_degrees
-from lkcanet.model import LkcaNet, NetConfig, param_breakdown
+from lkcanet.model import LkcaNet, NetConfig, layer_shapes, param_breakdown
 from lkcanet.train import BicubicBaseline, DistillConfig, TrainConfig, distill, evaluate, train
 
 
@@ -75,7 +75,7 @@ def test_criterion_1_parameter_delta_oracle():
 def test_criterion_2_matrix_shape_oracle():
     """The reference upsampler reshapes to 2048 x 1152 (rank bound 1152)."""
     cfg = NetConfig(bands=128, scale_factor=4)
-    w = np.zeros(cfg.upsampler_spec().weight_shape, dtype=np.float32)
+    w = np.zeros(layer_shapes(cfg)["upsampler"]["weight"], dtype=np.float32)
     m = weights_to_matrix(w)
     ok = m.shape == (2048, 1152) and min(m.shape) == 1152
     report(2, ok, f"matrix shape {m.shape}, rank bound {min(m.shape)}")
@@ -178,7 +178,7 @@ def test_criterion_4_structural_identities():
     g, cin, cout = 4, 16, 32
     w_full = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
     w_full = block_diagonal_part(weights_to_matrix(w_full), g).reshape(w_full.shape)
-    _, gw = build_grouped(w_full, g, init="svd_blocks")
+    gw = build_grouped(w_full, g, init="svd_blocks")
     x = rng.random((2, cin, 6, 6), dtype=np.float32)
     with no_grad():
         full_out = ops.conv2d(Var(x), Var(w_full)).value

@@ -16,7 +16,7 @@ from lkcanet import cli, hsi
 from lkcanet import model as model_module
 from lkcanet.cli import load_split, main
 from lkcanet.hsi import HsiCube, PatchSpec, custom_protocol, read_cube, write_cube
-from lkcanet.model import NetConfig, load_checkpoint
+from lkcanet.model import NetConfig, load_checkpoint, param_breakdown
 from lkcanet.train import DistillConfig, TrainConfig
 
 
@@ -562,6 +562,32 @@ class TestBench:
 
     def test_missing_bands_rejected(self):
         assert run("bench", "--scale", "4") == 3
+
+    def test_group_table_lists_the_counts_the_config_accepts(self, capsys):
+        # C=8 and bands*r^2=12: 8 and 16 divide C but not 12.
+        assert run("bench", "--bands", "3", "--scale", "2", "--channels", "8", "--lkca-groups", "2",
+                   "--ca-reduction", "4", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["upsampler_by_groups"] == {"1": 864, "2": 432, "4": 216}
+        config = NetConfig.from_dict(payload["config"])
+        for g, count in payload["upsampler_by_groups"].items():
+            assert count == param_breakdown(config.with_upsampler_groups(int(g)))["upsampler"]
+
+    def test_group_table_of_a_grouped_config_counts_from_the_full_layer(self, capsys):
+        assert run("bench", "--bands", "128", "--scale", "4", "--groups", "8", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params_upsampler"] == 294912
+        assert payload["upsampler_by_groups"]["1"] == 2359296
+        assert payload["upsampler_by_groups"]["8"] == 294912
+
+    def test_non_dividing_groups_exit_three(self, workspace, tmp_path, capsys):
+        # C=8 and bands*r^2=16: 3 divides neither.
+        assert run("bench", "--bands", "4", "--scale", "2", *TINY_MODEL_FLAGS, "--groups", "3") == 3
+        out = tmp_path / "bad.lkca"
+        assert run("approximate", "--checkpoint", str(workspace / "init.lkca"), "--groups", "3",
+                   "--out", str(out)) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.count("upsampler_groups=3") == 2
 
 
 class TestUsageAndHelp:

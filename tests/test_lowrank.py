@@ -4,8 +4,8 @@ from oracles import block_diagonal_part, grouped_to_full
 
 from lkcanet import ops
 from lkcanet.autodiff import Var, no_grad
-from lkcanet.lowrank import analyze_upsampler, build_grouped, choose_groups, weights_to_matrix
-from lkcanet.model import LkcaNet, NetConfig
+from lkcanet.lowrank import analyze_upsampler, build_grouped, choose_groups, group_variants, weights_to_matrix
+from lkcanet.model import LkcaNet, NetConfig, layer_shapes, param_breakdown
 
 
 def reference_config(**over):
@@ -17,7 +17,7 @@ def reference_config(**over):
 class TestReshape:
     def test_reference_matrix_shape(self):
         cfg = reference_config()
-        w = np.zeros(cfg.upsampler_spec().weight_shape, dtype=np.float32)
+        w = np.zeros(layer_shapes(cfg)["upsampler"]["weight"], dtype=np.float32)
         m = weights_to_matrix(w)
         assert m.shape == (2048, 1152)
         assert min(m.shape) == 1152  # full-rank bound
@@ -98,41 +98,56 @@ class TestAnalyze:
 
 class TestChooseGroups:
     def test_reference_default_is_eight(self):
-        assert choose_groups(reference_config(), (2, 4, 8, 16)) == 8
+        assert choose_groups(reference_config()) == 8
 
     def test_invalid_candidate_dropped(self):
-        cfg = reference_config()
-        assert choose_groups(cfg, (7, 8)) == 8
+        # C=8, bands*r^2=16: 16 does not divide C, 8 does.
+        cfg = NetConfig(bands=4, scale_factor=2, feature_channels=8, lkca_groups=2, ca_reduction=4)
+        assert list(group_variants(cfg)) == [1, 2, 4, 8]
+        assert choose_groups(cfg) == 8
+        # C=6, bands*r^2=3: no count above 1 divides both.
         with pytest.raises(ValueError):
-            choose_groups(cfg, (7,))
+            choose_groups(NetConfig(bands=3, scale_factor=1, feature_channels=6, lkca_groups=2,
+                                    ca_reduction=3))
 
     def test_single_valid_candidate(self):
-        assert choose_groups(reference_config(), (2,)) == 2
+        # C=6, bands*r^2=4: 2 is the one count above 1 dividing both.
+        cfg = NetConfig(bands=1, scale_factor=2, feature_channels=6, lkca_groups=2, ca_reduction=3)
+        assert list(group_variants(cfg)) == [1, 2]
+        assert choose_groups(cfg) == 2
 
     def test_largest_below_default_wins(self):
-        assert choose_groups(reference_config(), (2, 4, 16)) == 4
+        # C=12 rejects 8 and 16.
+        cfg = reference_config(feature_channels=12, ca_reduction=4)
+        assert list(group_variants(cfg)) == [1, 2, 4]
+        assert choose_groups(cfg) == 4
 
 
 class TestBuildGrouped:
     def test_groups_one_identity(self):
         rng = np.random.default_rng(4)
         w = rng.standard_normal((16, 8, 3, 3)).astype(np.float32)
-        spec, gw = build_grouped(w, 1, init="svd_blocks")
-        assert spec.kind == "full"
+        gw = build_grouped(w, 1, init="svd_blocks")
+        cfg = NetConfig(bands=4, scale_factor=2, feature_channels=8, lkca_groups=2, ca_reduction=4)
+        assert layer_shapes(cfg)["upsampler"]["weight"] == w.shape
+        assert cfg.upsampler_kind == "full"
         assert np.array_equal(gw, w)
 
     @pytest.mark.parametrize("g", [2, 4, 8, 16])
     def test_param_ratio_exact(self, g):
         w = np.zeros((64, 16, 3, 3), dtype=np.float32)
-        spec, gw = build_grouped(w, g)
+        gw = build_grouped(w, g)
+        grouped = NetConfig(bands=4, scale_factor=4, feature_channels=16).with_upsampler_groups(g)
+        assert gw.shape == layer_shapes(grouped)["upsampler"]["weight"]
+        assert grouped.upsampler_kind == f"grouped({g})"
         assert gw.size * g == w.size
-        assert spec.param_count() * g == 64 * 16 * 9
+        assert param_breakdown(grouped)["upsampler"] * g == 64 * 16 * 9
 
     def test_svd_blocks_is_frobenius_projection(self):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((8, 4, 3, 3))
         g = 2
-        _, gw = build_grouped(w, g, init="svd_blocks")
+        gw = build_grouped(w, g, init="svd_blocks")
         m = weights_to_matrix(w)
         approx = weights_to_matrix(grouped_to_full(gw, g))
         # Off-diagonal Frobenius mass, by direct summation over blocks.
@@ -153,7 +168,7 @@ class TestBuildGrouped:
         g, cin, cout = 4, 16, 32
         w_full = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
         w_full = block_diagonal_part(weights_to_matrix(w_full), g).reshape(w_full.shape)
-        _, gw = build_grouped(w_full, g, init="svd_blocks")
+        gw = build_grouped(w_full, g, init="svd_blocks")
         x = rng.random((2, cin, 6, 6), dtype=np.float32)
         with no_grad():
             full_out = ops.conv2d(Var(x), Var(w_full)).value
@@ -173,7 +188,7 @@ class TestBuildGrouped:
         m = np.zeros((cout, cin * k * k))
         for b in range(g):
             m[b * rows : (b + 1) * rows, b * cols : (b + 1) * cols] = blocks[b]
-        gw = build_grouped(m.reshape(cout, cin, k, k), g, init="svd_blocks")[1]
+        gw = build_grouped(m.reshape(cout, cin, k, k), g, init="svd_blocks")
         for b in range(g):
             block = weights_to_matrix(gw[b * rows : (b + 1) * rows])
             assert np.linalg.matrix_rank(block) == 1
@@ -189,8 +204,8 @@ class TestBuildGrouped:
 
     def test_random_init_uses_rng(self):
         w = np.zeros((8, 4, 3, 3), dtype=np.float32)
-        _, a = build_grouped(w, 2, init="random", rng=np.random.default_rng(1))
-        _, b = build_grouped(w, 2, init="random", rng=np.random.default_rng(1))
-        _, c = build_grouped(w, 2, init="random", rng=np.random.default_rng(2))
+        a = build_grouped(w, 2, init="random", rng=np.random.default_rng(1))
+        b = build_grouped(w, 2, init="random", rng=np.random.default_rng(1))
+        c = build_grouped(w, 2, init="random", rng=np.random.default_rng(2))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)

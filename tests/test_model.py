@@ -17,8 +17,8 @@ from lkcanet.model import (
     CheckpointError,
     LkcaNet,
     NetConfig,
-    UpsamplerSpec,
     flops_breakdown,
+    layer_shapes,
     load_checkpoint,
     param_breakdown,
     read_checkpoint_arrays,
@@ -46,7 +46,7 @@ class TestConfig:
     def test_upsampler_channel_law(self):
         cfg = NetConfig(bands=128, scale_factor=4)
         assert cfg.upsampler_out == 128 * 16
-        assert cfg.upsampler_spec().weight_shape == (2048, 128, 3, 3)
+        assert layer_shapes(cfg)["upsampler"]["weight"] == (2048, 128, 3, 3)
 
     def test_divisibility_validation(self):
         with pytest.raises(ValueError):
@@ -62,8 +62,11 @@ class TestConfig:
         assert NetConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_upsampler_spec_validation(self):
-        with pytest.raises(ValueError):
-            UpsamplerSpec(in_channels=8, out_channels=12, groups=5)
+        # C=8, bands*r^2=12: g=5 divides neither, and g=0 is no group count.
+        for g in (5, 0):
+            with pytest.raises(ValueError, match="upsampler_groups"):
+                NetConfig(bands=3, scale_factor=2, feature_channels=8, lkca_groups=2,
+                          ca_reduction=4, upsampler_groups=g)
 
 
 class TestForward:
@@ -259,14 +262,14 @@ class TestParamAccounting:
         full = NetConfig(bands=bands, scale_factor=r)
         grouped = full.with_upsampler_groups(8)
         delta = sum(param_breakdown(full).values()) - sum(param_breakdown(grouped).values())
-        assert delta == full.upsampler_spec().param_count() * 7 // 8
+        assert delta == param_breakdown(full)["upsampler"] * 7 // 8
         assert round(delta / 1e6, 3) == delta_millions
 
     @pytest.mark.parametrize("g", [2, 4, 8, 16])
     def test_grouped_param_law_exact(self, g):
         cfg = NetConfig(bands=128, scale_factor=4)
-        full = cfg.upsampler_spec().param_count()
-        grouped = cfg.with_upsampler_groups(g).upsampler_spec().param_count()
+        full = param_breakdown(cfg)["upsampler"]
+        grouped = param_breakdown(cfg.with_upsampler_groups(g))["upsampler"]
         assert grouped * g == full
 
 

@@ -185,6 +185,17 @@ class TestTrain:
         assert result.history == []
         for k, v in result.model.state_arrays().items():
             assert np.array_equal(v, start[k])
+        assert all(p.grad is None for p in result.model.params.values())
+
+    @pytest.mark.parametrize("distilling", [False, True], ids=["train", "distill"])
+    def test_no_gradient_outlives_the_run(self, distilling):
+        student = LkcaNet(tiny_config(num_blocks=1), seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=4)
+        if distilling:
+            result = distill(LkcaNet(tiny_config(), seed=1), student, tiny_split(), cfg)
+        else:
+            result = train(student, tiny_split(), cfg)
+        assert all(p.grad is None for p in result.model.params.values())
 
 
 class TestTrainingTape:
