@@ -61,75 +61,49 @@ _NUMERIC_ERRORS = (NonFiniteGradientError, SvdConvergenceError, FloatingPointErr
 # Variables that set the BLAS thread count, recorded in every manifest.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# The flags of the settings commands resolve, by help section:
-# key -> (type or choices, help). Each command's --help appends its default.
-_FLAGS = {
-    None: {
-        "seed": (int, "random seed for every stochastic step"),
-        "patch_size": (int, "HR patch size"),
-        "overlap": (int, "HR patch overlap"),
-    },
-    "model": {
-        "channels": (int, "feature channels C"),
-        "blocks": (int, "number of attention blocks"),
-        "k1": (int, "first depthwise kernel size"),
-        "k2": (int, "second depthwise kernel size"),
-        "d1": (int, "first dilation rate"),
-        "d2": (int, "second dilation rate"),
-        "lkca_groups": (int, "groups of the 1x1 fusion conv"),
-        "ca_reduction": (int, "channel-attention reduction"),
-        "groups": (int, "upsampler groups; 1 = full convolution"),
-        "drop_path": (float, "stochastic-depth rate during training"),
-    },
-    "training": {
-        "epochs": (int, "training epochs"),
-        "batch_size": (int, "patches per step"),
-        "lr": (float, "initial learning rate"),
-        "final_lr": (float, "final learning rate"),
-        "schedule": (SCHEDULES, "learning-rate schedule"),
-        "grad_clip": (float, "global-norm gradient clip"),
-    },
-    "distillation": {
-        "alpha": (float, "initial distillation weight"),
-        "decay_factor": (float, "distillation decay factor d"),
-        "decay_every": (int, "epochs per decay step f"),
-        "kd_target": (KD_TARGETS, "alignment tensor"),
-    },
-}
-
-# Settings a library object takes: key -> (owner, field). The model's
-# kernel sizes and dilations are pairs, set by k1/k2 and d1/d2.
-_OWNED = {
-    "channels": (NetConfig, "feature_channels"),
-    "blocks": (NetConfig, "num_blocks"),
-    "lkca_groups": (NetConfig, "lkca_groups"),
-    "ca_reduction": (NetConfig, "ca_reduction"),
-    "groups": (NetConfig, "upsampler_groups"),
-    "drop_path": (NetConfig, "drop_path_rate"),
-    "epochs": (TrainConfig, "epochs"),
-    "seed": (TrainConfig, "seed"),
-    "batch_size": (TrainConfig, "batch_size"),
-    "lr": (TrainConfig, "initial_lr"),
-    "final_lr": (TrainConfig, "final_lr"),
-    "schedule": (TrainConfig, "schedule"),
-    "grad_clip": (TrainConfig, "grad_clip"),
-    **{name: (LossWeights, name) for name in ("lam1", "lam2", "lam3", "lam4", "lam5", "alpha")},
-    "decay_factor": (DecaySchedule, "factor"),
-    "decay_every": (DecaySchedule, "every"),
-    "kd_target": (DistillConfig, "kd_target"),
+# Every setting a command resolves: key -> (help section, type or choices,
+# help, owner, field). A row without help has no flag and is set through
+# --config only; a row without an owner sets no library field by itself (the
+# model's kernel sizes and dilations are pairs, set by k1/k2 and d1/d2). Each
+# command's --help appends the setting's default.
+_SETTINGS = {
+    "seed": (None, int, "random seed for every stochastic step", TrainConfig, "seed"),
+    "patch_size": (None, int, "HR patch size", None, None),
+    "overlap": (None, int, "HR patch overlap", None, None),
+    "channels": ("model", int, "feature channels C", NetConfig, "feature_channels"),
+    "blocks": ("model", int, "number of attention blocks", NetConfig, "num_blocks"),
+    "k1": ("model", int, "first depthwise kernel size", None, None),
+    "k2": ("model", int, "second depthwise kernel size", None, None),
+    "d1": ("model", int, "first dilation rate", None, None),
+    "d2": ("model", int, "second dilation rate", None, None),
+    "lkca_groups": ("model", int, "groups of the 1x1 fusion conv", NetConfig, "lkca_groups"),
+    "ca_reduction": ("model", int, "channel-attention reduction", NetConfig, "ca_reduction"),
+    "groups": ("model", int, "upsampler groups; 1 = full convolution", NetConfig, "upsampler_groups"),
+    "drop_path": ("model", float, "stochastic-depth rate during training", NetConfig, "drop_path_rate"),
+    "epochs": ("training", int, "training epochs", TrainConfig, "epochs"),
+    "batch_size": ("training", int, "patches per step", TrainConfig, "batch_size"),
+    "lr": ("training", float, "initial learning rate", TrainConfig, "initial_lr"),
+    "final_lr": ("training", float, "final learning rate", TrainConfig, "final_lr"),
+    "schedule": ("training", SCHEDULES, "learning-rate schedule", TrainConfig, "schedule"),
+    "grad_clip": ("training", float, "global-norm gradient clip", TrainConfig, "grad_clip"),
+    **{f"lam{i}": (None, float, None, LossWeights, f"lam{i}") for i in range(1, 6)},
+    "alpha": ("distillation", float, "initial distillation weight", LossWeights, "alpha"),
+    "decay_factor": ("distillation", float, "distillation decay factor d", DecaySchedule, "factor"),
+    "decay_every": ("distillation", int, "epochs per decay step f", DecaySchedule, "every"),
+    "kd_target": ("distillation", KD_TARGETS, "alignment tensor", DistillConfig, "kd_target"),
 }
 
 
 def _taken(owner, source) -> dict:
     """The settings ``owner`` takes, as ``source`` holds them; ``owner``
     itself holds the defaults, as a dataclass keeps them as class attributes."""
-    return {key: getattr(source, name) for key, (o, name) in _OWNED.items()
+    return {key: getattr(source, name) for key, (*_, o, name) in _SETTINGS.items()
             if o is owner and hasattr(source, name)}
 
 
 def _build(owner, settings: dict, **given):
     """An ``owner`` built from the settings it takes."""
-    return owner(**{name: settings[key] for key, (o, name) in _OWNED.items() if o is owner}, **given)
+    return owner(**{name: settings[key] for key, (*_, o, name) in _SETTINGS.items() if o is owner}, **given)
 
 
 def _model_config(settings: dict, bands: int, scale: int) -> NetConfig:
@@ -158,9 +132,9 @@ _STUDENT_SHOWN = {
 # Keys a --config file may hold: every setting a command resolves, and every
 # other key that a run manifest or a split.json records.
 _CONFIG_KEYS = {
-    *(key for flags in _FLAGS.values() for key in flags), *_OWNED, "dataset", "scale", "bands",
-    "name", "init", "model", "test_regions", "exclusions", "cube_shape", "scale_factor",
-    "validation_fraction", "train_origins", "val_origins", "cube_path", "crop_shape", "test_files",
+    *_SETTINGS, "dataset", "scale", "bands", "name", "init", "model", "test_regions", "exclusions",
+    "cube_shape", "scale_factor", "validation_fraction", "train_origins", "val_origins", "cube_path",
+    "crop_shape", "test_files",
 }
 
 
@@ -371,8 +345,7 @@ def _finish_fit(ns, command: str, settings: dict, result, metadata: dict, inputs
 def _cmd_train(ns) -> int:
     settings = _resolve(ns, {**MODEL_DEFAULTS, **_TRAIN_DEFAULTS})
     split = load_split(ns.split)
-    bands = split.test[0].bands if split.test else split.train[0].hr.shape[0]
-    config = _model_config(settings, bands, split.manifest["scale_factor"])
+    config = _model_config(settings, split.manifest["cube_shape"][0], split.manifest["scale_factor"])
     model = LkcaNet(config, seed=settings["seed"])
     result = train(model, split, _build(TrainConfig, settings))
     metadata = {"loss_weights": vars(LossWeights())}
@@ -511,16 +484,16 @@ def _add_common(p: argparse.ArgumentParser, config: bool = False) -> None:
 
 
 def _add_settings(p: argparse.ArgumentParser, shown: dict) -> None:
-    """A flag for each setting in ``shown``, whose help names the default
-    ``shown`` gives it."""
-    for title, flags in _FLAGS.items():
-        keys = [key for key in flags if key in shown]
-        g = p.add_argument_group(title) if title and keys else p
-        for key in keys:
-            kind, text = flags[key]
+    """A flag for each setting in ``shown`` that has help, whose help names
+    the default ``shown`` gives it."""
+    groups = {None: p}
+    for key, (title, kind, text, *_) in _SETTINGS.items():
+        if key in shown and text:
+            if title not in groups:
+                groups[title] = p.add_argument_group(title)
             parse = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            g.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
-                           help=f"{text} (default {shown[key]})", **parse)
+            groups[title].add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                                       help=f"{text} (default {shown[key]})", **parse)
 
 
 def _command(sub, name: str, text: str, handler=None) -> argparse.ArgumentParser:

@@ -58,13 +58,11 @@ class NetConfig:
             raise ValueError("bands/channels must be >= 1 and num_blocks >= 0")
         if self.scale_factor < 1:
             raise ValueError(f"scale factor must be >= 1, got {self.scale_factor}")
-        if c % self.lkca_groups or (3 * c) % self.lkca_groups:
+        if self.lkca_groups < 1 or c % self.lkca_groups:
+            raise ValueError(f"lkca_groups={self.lkca_groups} must be >= 1 and divide C={c} and 3C={3 * c}")
+        if self.ca_reduction < 1 or (3 * c) % self.ca_reduction:
             raise ValueError(
-                f"lkca_groups={self.lkca_groups} must divide C={c} and 3C={3 * c}"
-            )
-        if (3 * c) % self.ca_reduction:
-            raise ValueError(
-                f"ca_reduction={self.ca_reduction} must divide the attention width 3C={3 * c}"
+                f"ca_reduction={self.ca_reduction} must be >= 1 and divide the attention width 3C={3 * c}"
             )
         g, out = self.upsampler_groups, self.upsampler_out
         if g < 1 or c % g or out % g:

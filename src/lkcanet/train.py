@@ -161,11 +161,6 @@ class TrainResult:
     diverged: str | None = None
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def _snapshot(model: LkcaNet) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in model.state_arrays().items()}
 
@@ -191,11 +186,15 @@ def _fit(
         raise ValueError("training split is empty")
     rng = np.random.default_rng(cfg.seed)
     weights = dcfg.weights
+    # The forward returns (reconstruction, post-shuffle maps); the kd term
+    # aligns one of them, in the student's and the teacher's outputs alike.
+    kd_at = 1 if dcfg.kd_target == "post_shuffle" else 0
     history: list[dict] = []
     best: tuple[int | None, float | None, dict | None] = (None, None, None)
     last_good = _snapshot(model)
     state = AdamState()
     n = len(split.train)
+    diverged = None
 
     for epoch in range(cfg.epochs):
         lr = lr_at(cfg, epoch)
@@ -204,9 +203,9 @@ def _fit(
         order = rng.permutation(n)
         h_vals: list[float] = []
         kd_vals: list[float] = []
-        diverged = None
 
-        for batch in _batches(n, cfg.batch_size, order):
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
             xs = np.stack([split.train[i].lr for i in batch])
             ys = np.stack([split.train[i].hr for i in batch])
             i_sr, f_up = model.forward(xs, training=True, rng=rng)
@@ -216,9 +215,7 @@ def _fit(
             if coeff != 0.0:
                 with no_grad():
                     t_sr, t_up = teacher.forward(xs)
-                target = t_up if dcfg.kd_target == "post_shuffle" else t_sr
-                student = f_up if dcfg.kd_target == "post_shuffle" else i_sr
-                kd = kd_loss(student, target, weights)
+                kd = kd_loss((i_sr, f_up)[kd_at], (t_sr, t_up)[kd_at], weights)
                 loss = total_loss(kd, h, decay, weights.alpha)
                 kd_vals.append(float(kd.value))
             else:
@@ -239,11 +236,8 @@ def _fit(
             except NonFiniteGradientError as exc:
                 diverged = f"{exc} in epoch {epoch}"
                 break
-
         if diverged:
-            model.zero_grad()  # no gradient outlives the run
-            model.load_state(last_good)
-            return TrainResult(model, history, best[0], best[1], diverged=diverged)
+            break
 
         val = _validate_mpsnr(model, split.val)
         history.append(
@@ -260,10 +254,12 @@ def _fit(
         if val is not None and (best[1] is None or val > best[1]):
             best = (epoch, val, last_good)
 
-    model.zero_grad()
-    if best[2] is not None:
-        model.load_state(best[2])
-    return TrainResult(model, history, best[0], best[1])
+    model.zero_grad()  # no gradient outlives the run
+    # A diverged run keeps its last epoch-end state, a finished one its best.
+    restore = last_good if diverged else best[2]
+    if restore is not None:
+        model.load_state(restore)
+    return TrainResult(model, history, best[0], best[1], diverged)
 
 
 def train(model: LkcaNet, split, cfg: TrainConfig) -> TrainResult:

@@ -4,7 +4,7 @@ import os
 import shutil
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from lkcanet import cli, hsi
 from lkcanet import model as model_module
 from lkcanet.cli import load_split, main
 from lkcanet.hsi import HsiCube, PatchSpec, custom_protocol, read_cube, write_cube
+from lkcanet.losses import DecaySchedule, LossWeights
 from lkcanet.model import NetConfig, load_checkpoint, param_breakdown
 from lkcanet.train import DistillConfig, TrainConfig
 
@@ -316,6 +317,32 @@ class TestTrainCli:
         assert "head.weight" in capsys.readouterr().err
         assert len(log.read_text().splitlines()) == 1
         monkeypatch.setattr(train_mod, "adam_step", adam_step)
+        one_epoch = tmp_path / "e.lkca"
+        assert run(*args, "--out", str(one_epoch), "--epochs", "1") == 0
+        a, _ = load_checkpoint(diverged)
+        b, _ = load_checkpoint(one_epoch)
+        for k in a.state_arrays():
+            assert np.array_equal(a.state_arrays()[k], b.state_arrays()[k])
+
+    def test_non_finite_loss_keeps_last_epoch(self, workspace, tmp_path, capsys, monkeypatch):
+        # 19 training patches in batches of 4: step 7 is the second step of epoch 1.
+        train_mod = importlib.import_module("lkcanet.train")
+        h_loss, steps = train_mod.h_loss, []
+
+        def poisoned(*args, **kwargs):
+            h = h_loss(*args, **kwargs)
+            steps.append(None)
+            if len(steps) == 7:
+                h.value = np.full_like(h.value, np.nan)
+            return h
+
+        monkeypatch.setattr(train_mod, "h_loss", poisoned)
+        args = ["train", "--split", str(workspace / "split"), "--batch-size", "4", *TINY_MODEL_FLAGS]
+        diverged, log = tmp_path / "d.lkca", tmp_path / "d.jsonl"
+        assert run(*args, "--out", str(diverged), "--epochs", "2", "--log", str(log)) == 4
+        assert "non-finite loss" in capsys.readouterr().err
+        assert len(log.read_text().splitlines()) == 1
+        monkeypatch.setattr(train_mod, "h_loss", h_loss)
         one_epoch = tmp_path / "e.lkca"
         assert run(*args, "--out", str(one_epoch), "--epochs", "1") == 0
         a, _ = load_checkpoint(diverged)
@@ -692,6 +719,19 @@ class TestSettings:
     def test_help_exits_zero(self, capsys, command):
         assert run(*command, "--help") == 0
         assert "usage: lkcanet" in capsys.readouterr().out
+
+    def test_settings_table_matches_the_library(self):
+        # Fields a setting does not set: the data fixes them, or a pair of
+        # settings (k1/k2, d1/d2) or a whole owner (weights, decay) builds them.
+        by_hand = {NetConfig: {"bands", "scale_factor", "kernel_sizes", "dilations"},
+                   DistillConfig: {"weights", "decay"}}
+        rows = [(owner, name) for *_, owner, name in cli._SETTINGS.values() if owner is not None]
+        for owner, name in rows:
+            assert name in {f.name for f in fields(owner)}, (owner.__name__, name)
+        for owner in (NetConfig, TrainConfig, LossWeights, DecaySchedule, DistillConfig):
+            for f in fields(owner):
+                if f.name not in by_hand.get(owner, ()):
+                    assert rows.count((owner, f.name)) == 1, (owner.__name__, f.name)
 
     def test_defaults_are_the_library_defaults(self, workspace, teacher, tmp_path, monkeypatch, capsys):
         seen = {}

@@ -68,6 +68,13 @@ class TestConfig:
                 NetConfig(bands=3, scale_factor=2, feature_channels=8, lkca_groups=2,
                           ca_reduction=4, upsampler_groups=g)
 
+    @pytest.mark.parametrize("field", ["lkca_groups", "ca_reduction"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_group_counts_below_one_name_the_field(self, field, value):
+        # 0 once divided by zero, and -4 divides C=8 and 3C=24 as Python's % sees it.
+        with pytest.raises(ValueError, match=field):
+            toy_config(**{field: value})
+
 
 class TestForward:
     def test_output_shape(self):
