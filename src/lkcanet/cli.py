@@ -120,8 +120,10 @@ def _model_settings(config) -> dict:
 MODEL_DEFAULTS = _model_settings(NetConfig)
 # The library has no default number of epochs; the CLI's is 10.
 _TRAIN_DEFAULTS = {"epochs": 10, **_taken(TrainConfig, TrainConfig)}
-_DISTILL_DEFAULTS = {**_taken(LossWeights, LossWeights), **_taken(DecaySchedule, DecaySchedule),
-                     **_taken(DistillConfig, DistillConfig)}
+# Both fits resolve and record every loss weight; train's loss reads only
+# lam1 and lam2, and no train flag sets one.
+_WEIGHT_DEFAULTS = _taken(LossWeights, LossWeights)
+_DISTILL_DEFAULTS = {**_taken(DecaySchedule, DecaySchedule), **_taken(DistillConfig, DistillConfig)}
 # What ``distill --help`` names: the student takes the teacher's
 # architecture at half its depth, with a full upsampler.
 _STUDENT_SHOWN = {
@@ -343,12 +345,13 @@ def _finish_fit(ns, command: str, settings: dict, result, metadata: dict, inputs
 
 
 def _cmd_train(ns) -> int:
-    settings = _resolve(ns, {**MODEL_DEFAULTS, **_TRAIN_DEFAULTS})
+    settings = _resolve(ns, {**MODEL_DEFAULTS, **_TRAIN_DEFAULTS, **_WEIGHT_DEFAULTS})
     split = load_split(ns.split)
     config = _model_config(settings, split.manifest["cube_shape"][0], split.manifest["scale_factor"])
     model = LkcaNet(config, seed=settings["seed"])
-    result = train(model, split, _build(TrainConfig, settings))
-    metadata = {"loss_weights": vars(LossWeights())}
+    weights = _build(LossWeights, settings)
+    result = train(model, split, _build(TrainConfig, settings), weights)
+    metadata = {"loss_weights": vars(weights)}
     return _finish_fit(ns, "train", settings, result, metadata, [ns.split])
 
 
@@ -363,7 +366,7 @@ def _cmd_distill(ns) -> int:
         "blocks": max(1, tcfg.num_blocks // 2),
         "groups": MODEL_DEFAULTS["groups"],
     }
-    settings = _resolve(ns, {**student, **_TRAIN_DEFAULTS, **_DISTILL_DEFAULTS})
+    settings = _resolve(ns, {**student, **_TRAIN_DEFAULTS, **_WEIGHT_DEFAULTS, **_DISTILL_DEFAULTS})
     config = _model_config(settings, tcfg.bands, tcfg.scale_factor)
     dcfg = _build(DistillConfig, settings, weights=_build(LossWeights, settings),
                   decay=_build(DecaySchedule, settings))
@@ -549,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("--split", required=True)
     di.add_argument("--out", required=True)
     di.add_argument("--log", default=None, help="JSON-lines per-epoch log path")
-    _add_settings(di, {**_STUDENT_SHOWN, **_TRAIN_DEFAULTS, **_DISTILL_DEFAULTS})
+    _add_settings(di, {**_STUDENT_SHOWN, **_TRAIN_DEFAULTS, **_WEIGHT_DEFAULTS, **_DISTILL_DEFAULTS})
     _add_common(di, config=True)
 
     ar = _command(sub, "analyze-rank", "SVD the upsampler and export its spectrum", _cmd_analyze_rank)

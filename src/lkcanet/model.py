@@ -282,18 +282,9 @@ class LkcaNet:
         release(t, dropped)
         return out
 
-    def forward(self, x, training: bool = False, rng=None) -> tuple[Var, Var]:
-        """Super-resolve a batch.
-
-        Args:
-            x: (N, bands, H, W) Var or array.
-            training: enables drop path (requires rng when the rate is > 0).
-
-        Returns:
-            (reconstruction, upsampled_features): the reconstruction is
-            upsampled_features + clamped bicubic upsampling of the input,
-            both (N, bands, r*H, r*W).
-        """
+    def features(self, x, training: bool = False, rng=None) -> Var:
+        """The head conv and the blocks, (N, bands, H, W) Var or array to
+        (N, C, H, W); ``training`` enables drop path (rng needed if rate > 0)."""
         x = as_var(x)
         cfg = self.config
         if x.value.ndim != 4 or x.shape[1] != cfg.bands:
@@ -309,17 +300,35 @@ class LkcaNet:
             f_in, f = f, self.lkb_forward(f, i, training=training, rng=rng)
             release(f_in)
             del f_in
-        f_in, f = f, ops.conv2d(f, p["upsampler.weight"], None, groups=cfg.upsampler_groups)
+        return f
+
+    def upsample(self, f, x=None) -> tuple[Var | None, Var]:
+        """(reconstruction, upsampled_features) of last-block features f, both
+        (N, bands, r*H, r*W): the upsampler conv and pixel shuffle, plus the
+        clamped bicubic upsampling of the LR input x. Without x no skip is
+        built and the reconstruction is None. A recorded f is released once
+        the conv has read it, like every feature map."""
+        cfg = self.config
+        f_in = as_var(f)
+        f = ops.conv2d(f_in, self.params["upsampler.weight"], None, groups=cfg.upsampler_groups)
         release(f_in)
         del f_in
         f_up = ops.pixel_shuffle(f, cfg.scale_factor)
         # The pre-shuffle map is gone before the skip is built.
         release(f)
         del f
+        if x is None:
+            return None, f_up
+        x = as_var(x)
         r = cfg.scale_factor
         skip = resize_bands(x.value, x.shape[2] * r, x.shape[3] * r)
-        i_sr = ops.add_const(f_up, skip)
-        return i_sr, f_up
+        return ops.add_const(f_up, skip), f_up
+
+    def forward(self, x, training: bool = False, rng=None) -> tuple[Var, Var]:
+        """Super-resolve a batch: (reconstruction, upsampled_features), the
+        :meth:`upsample` of :meth:`features`."""
+        x = as_var(x)
+        return self.upsample(self.features(x, training, rng), x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode forward on a plain array, no graph recorded."""

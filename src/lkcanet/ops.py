@@ -23,7 +23,8 @@ Every primitive carries an analytic backward, which the test suite checks
 against central finite differences.
 
 Reductions use numpy's deterministic summation order, so repeated runs on
-the same machine are bit-identical.
+the same machine are bit-identical. Every forward is batch-invariant: a
+sample's output is the same bits whichever batch it sits in.
 """
 
 from __future__ import annotations
@@ -367,13 +368,18 @@ def global_avg_pool(x: Var) -> Var:
 
 
 def linear(x: Var, weight: Var, bias: Var) -> Var:
-    """(N, F) x (G, F)^T + (G,) -> (N, G)."""
+    """(N, F) x (G, F)^T + (G,) -> (N, G).
+
+    Each row is its own product, so a sample's output does not depend on
+    the batch it sits in: a plain (N, F) GEMM takes another BLAS path at
+    N = 1 than at N > 1, and rounds differently.
+    """
     x, weight, bias = as_var(x), as_var(weight), as_var(bias)
     if x.shape[1] != weight.shape[1] or bias.shape != (weight.shape[0],):
         raise ValueError(
             f"linear shape mismatch: x {x.shape}, weight {weight.shape}, bias {bias.shape}"
         )
-    out = x.value @ weight.value.T + bias.value
+    out = np.matmul(x.value[:, None, :], weight.value.T)[:, 0] + bias.value
     xv, wv = x.value, weight.value
 
     def vjp(g):

@@ -3,9 +3,11 @@ teacher -> student feature-alignment distillation loop.
 
 Plain training is distillation with the alignment term switched off: both
 run the same engine, so an alpha = 0 distillation reproduces training
-bit-exactly under the same seed. The same seed on the same machine gives a
-bit-identical run; logs are one JSON-compatible dict per epoch with keys
-{epoch, lr, D, loss_h, loss_kd, val_mpsnr}.
+bit-exactly under the same seed. Distillation runs the frozen teacher's head
+and blocks once per run, over every training patch; each step runs only its
+upsampler on the batch's cached features. The same seed on the same machine
+gives a bit-identical run; logs are one JSON-compatible dict per epoch with
+keys {epoch, lr, D, loss_h, loss_kd, val_mpsnr}.
 """
 
 from __future__ import annotations
@@ -175,6 +177,23 @@ def _validate_mpsnr(model: LkcaNet, patches) -> float | None:
     return float(np.mean(vals))
 
 
+def _teacher_features(teacher: LkcaNet, patches, batch_size: int) -> np.ndarray:
+    """The frozen teacher's last-block features of every patch, in patch
+    order, as one (n, C, h, w) array. The forward is batch-invariant, so a
+    patch's row equals its features in any training batch."""
+    cache = None
+    with no_grad():
+        for start in range(0, len(patches), batch_size):
+            f = teacher.features(np.stack([pair.lr for pair in patches[start : start + batch_size]])).value
+            if cache is None:
+                cache = np.empty((len(patches), *f.shape[1:]), f.dtype)
+            cache[start : start + len(f)] = f
+    return cache
+
+
+# A float overflow, invalid value or division by zero in a run stops it as
+# diverged, before the next forward turns it into a warning.
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _fit(
     model: LkcaNet,
     split,
@@ -189,6 +208,10 @@ def _fit(
     # The forward returns (reconstruction, post-shuffle maps); the kd term
     # aligns one of them, in the student's and the teacher's outputs alike.
     kd_at = 1 if dcfg.kd_target == "post_shuffle" else 0
+    # The teacher's body runs once per run: each step runs only its upsampler
+    # on the cached features, and its skip only for the reconstruction.
+    distilling = teacher is not None and weights.alpha != 0.0
+    cache = _teacher_features(teacher, split.train, cfg.batch_size) if distilling else None
     history: list[dict] = []
     best: tuple[int | None, float | None, dict | None] = (None, None, None)
     last_good = _snapshot(model)
@@ -199,47 +222,47 @@ def _fit(
     for epoch in range(cfg.epochs):
         lr = lr_at(cfg, epoch)
         decay = dcfg.decay.at(epoch)
-        coeff = decay * weights.alpha if teacher is not None else 0.0
+        coeff = decay * weights.alpha if distilling else 0.0
         order = rng.permutation(n)
         h_vals: list[float] = []
         kd_vals: list[float] = []
 
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            xs = np.stack([split.train[i].lr for i in batch])
-            ys = np.stack([split.train[i].hr for i in batch])
-            i_sr, f_up = model.forward(xs, training=True, rng=rng)
-            if coeff == 0.0:
-                release(f_up)  # only the kd term reads it
-            h = h_loss(i_sr, ys, weights)
-            if coeff != 0.0:
-                with no_grad():
-                    t_sr, t_up = teacher.forward(xs)
-                kd = kd_loss((i_sr, f_up)[kd_at], (t_sr, t_up)[kd_at], weights)
-                loss = total_loss(kd, h, decay, weights.alpha)
-                kd_vals.append(float(kd.value))
-            else:
-                loss = h
-                kd_vals.append(0.0)
-            # The loss VJPs keep what they read; freeing the outputs here
-            # also keeps them out of the next step.
-            release(i_sr, f_up)
-            h_vals.append(float(h.value))
+        try:
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                xs = np.stack([split.train[i].lr for i in batch])
+                ys = np.stack([split.train[i].hr for i in batch])
+                i_sr, f_up = model.forward(xs, training=True, rng=rng)
+                if coeff == 0.0:
+                    release(f_up)  # only the kd term reads it
+                h = h_loss(i_sr, ys, weights)
+                if coeff != 0.0:
+                    # The target stays bound until the next step's: freeing
+                    # it before backward would let glibc trim the heap at the
+                    # end of every step and fault it back in during the next.
+                    with no_grad():
+                        target = teacher.upsample(cache[batch], xs if kd_at == 0 else None)[kd_at]
+                    kd = kd_loss((i_sr, f_up)[kd_at], target, weights)
+                    loss = total_loss(kd, h, decay, weights.alpha)
+                    kd_vals.append(float(kd.value))
+                else:
+                    loss = h
+                    kd_vals.append(0.0)
+                # The loss VJPs keep what they read; freeing the outputs here
+                # also keeps them out of the next step.
+                release(i_sr, f_up)
+                h_vals.append(float(h.value))
 
-            if not np.isfinite(loss.value):
-                diverged = f"non-finite loss in epoch {epoch}"
-                break
-            model.zero_grad()
-            backward(loss)
-            try:
+                if not np.isfinite(loss.value):
+                    raise FloatingPointError("non-finite loss")
+                model.zero_grad()
+                backward(loss)
                 adam_step(model.params, state, lr, grad_clip=cfg.grad_clip)
-            except NonFiniteGradientError as exc:
-                diverged = f"{exc} in epoch {epoch}"
-                break
-        if diverged:
+            val = _validate_mpsnr(model, split.val)
+        except (FloatingPointError, NonFiniteGradientError) as exc:
+            diverged = f"{exc} in epoch {epoch}"
             break
 
-        val = _validate_mpsnr(model, split.val)
         history.append(
             {
                 "epoch": epoch,
@@ -262,13 +285,14 @@ def _fit(
     return TrainResult(model, history, best[0], best[1], diverged)
 
 
-def train(model: LkcaNet, split, cfg: TrainConfig) -> TrainResult:
-    """Minimize the supervised loss over the training patches.
+def train(model: LkcaNet, split, cfg: TrainConfig, weights: LossWeights = LossWeights()) -> TrainResult:
+    """Minimize the supervised loss, weighted by ``weights.lam1``/``lam2``,
+    over the training patches.
 
     The best-validation parameters (by mean PSNR) are restored at the end;
     with zero epochs the model is returned unchanged.
     """
-    return _fit(model, split, cfg, teacher=None, dcfg=DistillConfig())
+    return _fit(model, split, cfg, teacher=None, dcfg=DistillConfig(weights=weights))
 
 
 def distill(

@@ -18,6 +18,9 @@
   loss VJPs with float sign arrays.
 - ``graph_nodes``, ``buffer_of`` and ``vjp_buffers``: what a recorded graph
   holds, and which buffers its VJP closures keep.
+- ``UncachedTeacher``: a distillation teacher whose every step runs the
+  whole ``teacher.forward`` of its batch, the reference a distillation on
+  cached last-block features must equal.
 """
 
 import math
@@ -451,3 +454,24 @@ def vjp_buffers(nodes):
                 except ValueError:  # a cell not yet bound
                     continue
     return buffers
+
+
+# ---------------------------------------------------------------------------
+# Distillation
+# ---------------------------------------------------------------------------
+
+
+class UncachedTeacher:
+    """Stands in for ``teacher`` in ``train.distill``. Its "features" are the
+    LR patches themselves, so the engine caches the patches, and each step's
+    ``upsample`` of its batch's rows is ``teacher.forward`` of that batch."""
+
+    def __init__(self, teacher):
+        self.teacher = teacher
+        self.config = teacher.config
+
+    def features(self, x, training=False, rng=None):
+        return Var(np.asarray(x))
+
+    def upsample(self, f, x=None):
+        return self.teacher.forward(f)

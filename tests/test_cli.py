@@ -350,6 +350,36 @@ class TestTrainCli:
         for k in a.state_arrays():
             assert np.array_equal(a.state_arrays()[k], b.state_arrays()[k])
 
+    def test_loss_weights_from_the_config_file(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam1": 5.0, "lam3": 0.0}))
+        args = ["train", "--split", str(workspace / "split"), "--epochs", "1", "--batch-size", "4",
+                *TINY_MODEL_FLAGS]
+        weighted, plain = tmp_path / "w.lkca", tmp_path / "p.lkca"
+        assert run(*args, "--out", str(weighted), "--config", str(cfg)) == 0
+        assert run(*args, "--out", str(plain)) == 0
+        resolved = json.loads((tmp_path / "w.lkca.manifest.json").read_text())["resolved_config"]
+        assert (resolved["lam1"], resolved["lam3"]) == (5.0, 0.0)
+        a, meta = load_checkpoint(weighted)
+        b, _ = load_checkpoint(plain)
+        assert meta["loss_weights"] == vars(LossWeights(lam1=5.0, lam3=0.0))
+        assert not np.array_equal(a.state_arrays()["head.weight"], b.state_arrays()["head.weight"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_prints_no_runtime_warning(self, workspace, tmp_path, capsys):
+        # Adam's first step moves every weight by about 1e30; the next
+        # forward overflows, which stops the run before numpy can warn.
+        out = tmp_path / "d.lkca"
+        args = ["train", "--split", str(workspace / "split"), "--out", str(out), "--epochs", "2",
+                "--batch-size", "4", "--lr", "1e30", "--final-lr", "1e30", *TINY_MODEL_FLAGS]
+        assert run(*args) == 4
+        err = capsys.readouterr().err
+        assert "diverged (overflow encountered in" in err and "in epoch 0)" in err
+        model, _ = load_checkpoint(out)
+        initial, _ = load_checkpoint(workspace / "init.lkca")
+        for name, value in model.state_arrays().items():
+            assert np.array_equal(value, initial.state_arrays()[name])
+
     def test_config_file_flag_precedence(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 1, "channels": 8, "blocks": 1, "k1": 3,
@@ -746,9 +776,10 @@ class TestSettings:
         monkeypatch.setattr(cli, "distill", spy(cli.distill))
         split = ["--split", str(workspace / "split"), "--epochs", "0"]
         assert run("train", *split, "--out", str(tmp_path / "t.lkca")) == 0
-        model, _, cfg = seen["train"]
+        model, _, cfg, weights = seen["train"]
         assert model.config == NetConfig(bands=4, scale_factor=2)
         assert cfg == TrainConfig(epochs=0)
+        assert weights == LossWeights()
         assert run("distill", *split, "--teacher", str(teacher), "--out", str(tmp_path / "d.lkca")) == 0
         t, student, _, cfg, dcfg = seen["distill"]
         assert student.config == replace(t.config, num_blocks=1)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import probe_config
 from oracles import composed_forward, grad_check
 
 from lkcanet import model as model_module
@@ -205,6 +206,24 @@ class TestForward:
             i_sr, f_up = model.forward(x)
         assert i_sr.value.dtype == np.float64
         assert np.array_equal(i_sr.value, f_up.value + resize_bands(x, 10, 14))
+
+    @pytest.mark.parametrize("config", [probe_config(), probe_config(num_blocks=2, upsampler_groups=8)],
+                             ids=["probe", "grouped"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    def test_batch_forward_equals_per_sample_forwards(self, config, training):
+        # A sample's forward is the same bits in a batch of 4 as alone.
+        model = LkcaNet(config, seed=3)
+        x = np.random.default_rng(13).random((4, config.bands, 16, 16), dtype=np.float32)
+
+        def outputs(xs):
+            with contextlib.nullcontext() if training else no_grad():
+                i_sr, f_up = model.forward(xs, training=training, rng=np.random.default_rng(0))
+            return i_sr.value, f_up.value
+
+        batch = outputs(x)
+        singles = [outputs(x[i : i + 1]) for i in range(4)]
+        for k in range(2):
+            assert np.array_equal(batch[k], np.concatenate([s[k] for s in singles]))
 
     def test_forward_deterministic_in_eval(self):
         model = LkcaNet(toy_config(drop_path_rate=0.3), seed=0)

@@ -1,15 +1,17 @@
+import hashlib
 import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import probe_config, synthetic_split
-from oracles import buffer_of, graph_nodes, vjp_buffers
+from oracles import UncachedTeacher, buffer_of, graph_nodes, vjp_buffers
 
 from lkcanet.autodiff import Var
 from lkcanet.losses import DecaySchedule, LossWeights
 from lkcanet.model import LkcaNet, NetConfig
 from lkcanet.train import (
+    KD_TARGETS,
     AdamState,
     BicubicBaseline,
     DistillConfig,
@@ -37,6 +39,10 @@ def tiny_config(**over):
     )
     base.update(over)
     return NetConfig(**base)
+
+
+def weights_sha256(model):
+    return hashlib.sha256(b"".join(v.tobytes() for v in model.state_arrays().values())).hexdigest()
 
 
 def tiny_split(seed=0, n_train=6, n_val=2, n_test=1):
@@ -306,6 +312,40 @@ class TestDistill:
             assert np.array_equal(
                 trained.model.state_arrays()[k], distilled.model.state_arrays()[k]
             )
+
+    @pytest.mark.parametrize("kd_target", KD_TARGETS)
+    def test_cached_teacher_equals_a_teacher_forward_per_step(self, kd_target):
+        # 7 patches in batches of 3: the cache is built in chunks of 3, 3
+        # and 1, and every step gathers its rows from several chunks.
+        split = tiny_split(n_train=7)
+        teacher, student_cfg = self._teacher_student(seed=12)
+        cfg = TrainConfig(epochs=3, batch_size=3, seed=13)
+        dcfg = DistillConfig(kd_target=kd_target)
+        cached, uncached = (
+            distill(t, LkcaNet(student_cfg, seed=14), split, cfg, dcfg)
+            for t in (teacher, UncachedTeacher(teacher))
+        )
+        assert all(h["loss_kd"] > 0.0 for h in cached.history)
+        assert cached.history == uncached.history
+        assert cached.best_epoch == uncached.best_epoch
+        assert weights_sha256(cached.model) == weights_sha256(uncached.model)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    def test_teacher_body_runs_once_per_run(self, monkeypatch, alpha):
+        # 6 patches in batches of 4 for 2 epochs: the body runs on 2 chunks
+        # once, the upsampler in each of the 4 steps; alpha = 0 calls nothing.
+        teacher, student_cfg = self._teacher_student()
+        calls = []
+        for name in ("forward", "features", "upsample"):
+            def spy(net, *args, _method=getattr(LkcaNet, name), _name=name, **kwargs):
+                if net is teacher:
+                    calls.append(_name)
+                return _method(net, *args, **kwargs)
+
+            monkeypatch.setattr(LkcaNet, name, spy)
+        dcfg = DistillConfig(weights=LossWeights(alpha=alpha))
+        distill(teacher, LkcaNet(student_cfg, seed=11), tiny_split(), TrainConfig(epochs=2, batch_size=4), dcfg)
+        assert calls == ([] if alpha == 0.0 else ["features"] * 2 + ["upsample"] * 4)
 
     def test_teacher_parameters_frozen(self):
         split = tiny_split()
