@@ -1,18 +1,17 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Each differentiable operation returns a :class:`Var` node that remembers its
-parents and a vector-Jacobian-product closure. :func:`backward` walks the
-recorded graph once, in reverse topological order, accumulating gradients
+Each differentiable operation returns a :class:`Var` that wraps its value
+and links a graph node: the node holds the gradient, the parents' nodes and
+a vector-Jacobian-product closure, never a value. :func:`backward` walks the
+recorded nodes once, in reverse topological order, accumulating gradients
 into the leaves and freeing each interior node's tape as soon as its VJP has
 run. The contract is gradient correctness (checked against central finite
 differences), not any particular taping style.
 
 ``backward`` reads only the root's value; each VJP reads the arrays its
-closure captured. A forward may therefore :func:`release` the values of
-interior temporaries it created once their consumers are recorded, so the
-tape holds only what backward reads. After a training forward, only leaves
-and the outputs a function returns are sure to keep ``.value``; reading the
-value of a released interior node is an error.
+closure captured, and captures no ``Var``. An interior value therefore
+lives while code holds its ``Var`` or a VJP holds the array: a forward frees
+a temporary by dropping its name, and the tape holds only what backward reads.
 
 Gradient recording can be suspended with :func:`no_grad`, e.g. for teacher
 forwards and validation passes.
@@ -39,21 +38,47 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """A vertex of the reverse-mode graph: a gradient, the parents' nodes and
+    the VJP, with no value."""
+
+    __slots__ = ("grad", "parents", "vjp")
+
+    def __init__(self):
+        self.grad = None
+        self.parents: tuple = ()
+        self.vjp = None
+
+
 class Var:
-    """A node in the reverse-mode graph wrapping one numpy array.
+    """One numpy array and its graph node.
 
     Leaves (parameters, inputs) have no parents. ``grad`` is None until a
     backward pass deposits a gradient of the same shape as ``value``.
     """
 
-    __slots__ = ("value", "grad", "name", "_parents", "_vjp")
+    __slots__ = ("value", "name", "_node")
 
     def __init__(self, value, name: str = ""):
         self.value = value if isinstance(value, np.ndarray) else np.asarray(value)
-        self.grad = None
         self.name = name
-        self._parents: tuple = ()
-        self._vjp = None
+        self._node = _Node()
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
+
+    @property
+    def _vjp(self):
+        return self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
 
     @property
     def shape(self):
@@ -85,21 +110,10 @@ def record(value: np.ndarray, parents: tuple, vjp) -> Var:
     """
     out = Var(value)
     if _grad_enabled:
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        node = out._node
+        node.parents = tuple(p._node for p in parents)
+        node.vjp = vjp
     return out
-
-
-def release(*nodes: Var) -> None:
-    """Drop the values of recorded interior nodes that no VJP reads.
-
-    Leaves, and every node built while gradients are off, keep their values:
-    without a graph, dropping the last reference frees an array. Arrays that
-    a VJP closure captured stay alive through the closure.
-    """
-    for node in nodes:
-        if node._vjp is not None:
-            node.value = None
 
 
 def backward(root: Var) -> None:
@@ -115,9 +129,9 @@ def backward(root: Var) -> None:
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
 
     # Iterative post-order DFS: parents precede children in `order`.
-    order: list[Var] = []
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -127,17 +141,17 @@ def backward(root: Var) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
     root.grad = np.ones_like(root.value)
     while order:
         node = order.pop()
-        vjp, parents, grad = node._vjp, node._parents, node.grad
+        vjp, parents, grad = node.vjp, node.parents, node.grad
         if vjp is None:
             continue
-        node._vjp, node._parents, node.grad = None, (), None
+        node.vjp, node.parents, node.grad = None, (), None
         if grad is None:
             continue
         for parent, g in zip(parents, vjp(grad)):

@@ -98,12 +98,13 @@ class HsiCube:
             )
 
     def crop(self, row: int, col: int, height: int, width: int) -> "HsiCube":
+        """The height x width window at (row, col), as a view of the data."""
         if row < 0 or col < 0 or row + height > self.height or col + width > self.width:
             raise CubeValidationError(
                 f"crop ({row},{col},{height},{width}) exceeds cube extent "
                 f"{self.height}x{self.width}"
             )
-        return HsiCube(self.data[:, row : row + height, col : col + width].copy(), dict(self.meta))
+        return HsiCube(self.data[:, row : row + height, col : col + width], dict(self.meta))
 
 
 def normalize(raw: np.ndarray, meta: dict | None = None) -> HsiCube:
@@ -440,13 +441,7 @@ def custom_protocol(test_regions: list[tuple[int, int, int, int]]) -> SplitProto
 
 def central_crop(cube: HsiCube, height: int, width: int) -> HsiCube:
     """The central height x width window of a cube, as a view of its data."""
-    if height > cube.height or width > cube.width:
-        raise CubeValidationError(
-            f"cannot centrally crop {cube.height}x{cube.width} to {height}x{width}"
-        )
-    r0 = (cube.height - height) // 2
-    c0 = (cube.width - width) // 2
-    return HsiCube(cube.data[:, r0 : r0 + height, c0 : c0 + width], dict(cube.meta))
+    return cube.crop((cube.height - height) // 2, (cube.width - width) // 2, height, width)
 
 
 @dataclass
@@ -464,10 +459,11 @@ def plan_split(
 ) -> tuple[HsiCube, list[HsiCube], dict]:
     """Lay out a split without cutting a patch.
 
-    Returns the protocol-cropped cube, its whole test regions and the split
-    manifest, which holds the seeded train/val patch origins. Candidate
-    patches that intersect a test region or exclusion zone are dropped,
-    which is re-checked by a final set-intersection assertion.
+    Returns the protocol-cropped cube, its whole test regions (views of the
+    cube, like the crop) and the split manifest, which holds the seeded
+    train/val patch origins. Candidate patches that intersect a test region
+    or exclusion zone are dropped, which is re-checked by a final
+    set-intersection assertion.
     """
     if protocol.expected_shape is not None:
         eh, ew = protocol.expected_shape

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import ops
-from .autodiff import Var, as_var, no_grad, release
+from .autodiff import Var, as_var, no_grad
 from .hsi import resize_bands
 
 CHECKPOINT_MAGIC = b"LKCACKPT"
@@ -253,9 +253,11 @@ class LkcaNet:
         d1, d2 = cfg.dilations
         c = cfg.feature_channels
         a1 = ops.conv2d(f_u, p[pre + "dw1.weight"], p[pre + "dw1.bias"], dilation=d1, groups=c)
-        a2 = ops.conv2d(a1, p[pre + "dw2.weight"], p[pre + "dw2.bias"], dilation=d2, groups=c)
-        a_c = ops.concat_channels([f_u, a1, a2])
-        release(a2)  # concat copied it; dw2's VJP reads a1, not a2
+        # concat copies the second depthwise output, which then dies: dw2's
+        # VJP reads a1, not its output.
+        a_c = ops.concat_channels(
+            [f_u, a1, ops.conv2d(a1, p[pre + "dw2.weight"], p[pre + "dw2.bias"], dilation=d2, groups=c)]
+        )
         a_ca = ops.channel_attention(
             a_c,
             p[pre + "ca.fc1.weight"],
@@ -277,10 +279,7 @@ class LkcaNet:
         t = ops.gelu(t)
         t = self.lkca_forward(t, block)
         t = ops.conv2d(t, p[pre + "proj_out.weight"], p[pre + "proj_out.bias"])
-        dropped = ops.drop_path(t, cfg.drop_path_rate, rng, training)
-        out = ops.add(x, dropped)
-        release(t, dropped)
-        return out
+        return ops.add(x, ops.drop_path(t, cfg.drop_path_rate, rng, training))
 
     def features(self, x, training: bool = False, rng=None) -> Var:
         """The head conv and the blocks, (N, bands, H, W) Var or array to
@@ -293,29 +292,22 @@ class LkcaNet:
                 f"got {x.shape}"
             )
         p = self.params
-        # Each feature map is released once its consumer is recorded, and
-        # its name is dropped at once: without a graph that frees it.
+        # Rebinding f frees each feature map once its block has read it.
         f = ops.conv2d(x, p["head.weight"], p["head.bias"])
         for i in range(cfg.num_blocks):
-            f_in, f = f, self.lkb_forward(f, i, training=training, rng=rng)
-            release(f_in)
-            del f_in
+            f = self.lkb_forward(f, i, training=training, rng=rng)
         return f
 
     def upsample(self, f, x=None) -> tuple[Var | None, Var]:
         """(reconstruction, upsampled_features) of last-block features f, both
         (N, bands, r*H, r*W): the upsampler conv and pixel shuffle, plus the
         clamped bicubic upsampling of the LR input x. Without x no skip is
-        built and the reconstruction is None. A recorded f is released once
-        the conv has read it, like every feature map."""
+        built and the reconstruction is None. Rebinding f frees the features
+        once the conv has read them, and the pre-shuffle map before the skip
+        is built."""
         cfg = self.config
-        f_in = as_var(f)
-        f = ops.conv2d(f_in, self.params["upsampler.weight"], None, groups=cfg.upsampler_groups)
-        release(f_in)
-        del f_in
+        f = ops.conv2d(as_var(f), self.params["upsampler.weight"], None, groups=cfg.upsampler_groups)
         f_up = ops.pixel_shuffle(f, cfg.scale_factor)
-        # The pre-shuffle map is gone before the skip is built.
-        release(f)
         del f
         if x is None:
             return None, f_up

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .autodiff import Var, as_var, record, release
+from .autodiff import Var, as_var, record
 
 _SQRT1_2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -395,7 +395,7 @@ def concat_channels(parts: list[Var]) -> Var:
     bounds = np.cumsum([0] + sizes)
 
     def vjp(g):
-        return tuple(g[:, bounds[i] : bounds[i + 1]] for i in range(len(parts)))
+        return tuple(g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     return record(out, tuple(parts), vjp)
 
@@ -419,12 +419,9 @@ def channel_attention(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
 
     Channel divisibility by the reduction is fixed by the weight shapes.
     """
-    squeezed = global_avg_pool(x)
-    z1 = linear(squeezed, w1, b1)
-    hidden = relu(z1)
-    z2 = linear(hidden, w2, b2)
-    gate = sigmoid(z2)
-    release(z1, z2)  # relu keeps its mask and sigmoid its output
+    # The pre-activations die at once: relu keeps its mask, sigmoid its output.
+    hidden = relu(linear(global_avg_pool(x), w1, b1))
+    gate = sigmoid(linear(hidden, w2, b2))
     return broadcast_gate(x, gate)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import backward, no_grad, release
+from .autodiff import backward, no_grad
 from .hsi import HsiCube, degrade, resize_bands
 from .losses import DecaySchedule, LossWeights, h_loss, kd_loss, total_loss
 from .metrics import MetricResult, average_metrics, evaluate_metrics, mpsnr
@@ -234,7 +234,7 @@ def _fit(
                 ys = np.stack([split.train[i].hr for i in batch])
                 i_sr, f_up = model.forward(xs, training=True, rng=rng)
                 if coeff == 0.0:
-                    release(f_up)  # only the kd term reads it
+                    f_up = None  # only the kd term reads it
                 h = h_loss(i_sr, ys, weights)
                 if coeff != 0.0:
                     # The target stays bound until the next step's: freeing
@@ -250,7 +250,7 @@ def _fit(
                     kd_vals.append(0.0)
                 # The loss VJPs keep what they read; freeing the outputs here
                 # also keeps them out of the next step.
-                release(i_sr, f_up)
+                del i_sr, f_up
                 h_vals.append(float(h.value))
 
                 if not np.isfinite(loss.value):

@@ -14,10 +14,11 @@
 - ``build_split``: planning and cutting a split in one call, as
   ``lkcanet prepare`` followed by a training load does.
 - ``composed_forward``: the network's training forward written out in
-  primitives, releasing no value; ``sign_loss_grads``: the L1 and gradient
-  loss VJPs with float sign arrays.
-- ``graph_nodes``, ``buffer_of`` and ``vjp_buffers``: what a recorded graph
-  holds, and which buffers its VJP closures keep.
+  primitives in one body; ``sign_loss_grads``: the L1 and gradient loss
+  VJPs with float sign arrays.
+- ``graph_nodes``, ``vjp_captures``, ``buffer_of`` and ``vjp_buffers``: the
+  nodes of a recorded graph, what their VJP closures capture, and which
+  buffers those keep.
 - ``UncachedTeacher``: a distillation teacher whose every step runs the
   whole ``teacher.forward`` of its batch, the reference a distillation on
   cached last-block features must equal.
@@ -367,8 +368,8 @@ def build_split(cube, protocol, spec, seed=0):
 
 
 def composed_forward(net, x, rng):
-    """``net.forward(x, training=True, rng=rng)`` written out in primitives,
-    with every interior value left in place. Returns (i_sr, f_up)."""
+    """``net.forward(x, training=True, rng=rng)`` written out in primitives
+    in one body, with no helper of the model. Returns (i_sr, f_up)."""
     cfg, p = net.config, net.params
     d1, d2 = cfg.dilations
     c = cfg.feature_channels
@@ -414,14 +415,15 @@ def sign_loss_grads(a, t):
 
 
 def graph_nodes(root):
-    """Every node reachable from ``root`` through recorded parents."""
-    nodes, seen, stack = [], set(), [root]
+    """Every graph node reachable from the Var ``root`` through recorded
+    parents."""
+    nodes, seen, stack = [], set(), [root._node]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             nodes.append(node)
-            stack.extend(node._parents)
+            stack.extend(node.parents)
     return nodes
 
 
@@ -432,20 +434,17 @@ def buffer_of(a):
     return a
 
 
-def vjp_buffers(nodes):
-    """{id: nbytes} of the buffers behind every array that a node's VJP
-    captured, searched through nested closures, tuples and lists."""
-    buffers, seen = {}, set()
-    stack = [node._vjp for node in nodes if node._vjp is not None]
+def vjp_captures(nodes):
+    """Every object that a node's VJP captured, searched through nested
+    closures, tuples and lists."""
+    found, seen = [], set()
+    stack = [node.vjp for node in nodes if node.vjp is not None]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            owner = buffer_of(obj)
-            buffers[id(owner)] = owner.nbytes
-        elif isinstance(obj, (tuple, list)):
+        if isinstance(obj, (tuple, list)):
             stack.extend(obj)
         elif callable(obj) and getattr(obj, "__closure__", None):
             for cell in obj.__closure__:
@@ -453,7 +452,16 @@ def vjp_buffers(nodes):
                     stack.append(cell.cell_contents)
                 except ValueError:  # a cell not yet bound
                     continue
-    return buffers
+        else:
+            found.append(obj)
+    return found
+
+
+def vjp_buffers(nodes):
+    """{id: nbytes} of the buffers behind every array that a node's VJP
+    captured."""
+    owners = [buffer_of(a) for a in vjp_captures(nodes) if isinstance(a, np.ndarray)]
+    return {id(owner): owner.nbytes for owner in owners}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from oracles import project_scalar
 
 from lkcanet import ops
-from lkcanet.autodiff import Var, backward, no_grad, record, release
+from lkcanet.autodiff import Var, backward, no_grad, record
 from lkcanet.ops import add, mul, scale
 
 
@@ -72,32 +72,36 @@ class TestGraph:
         assert buffers[0]() is not None
         backward(loss)
         for node in (out, loss):
-            assert node._parents == ()
+            assert node._node.parents == ()
             assert node._vjp is None
             assert node.grad is None
         assert buffers[0]() is None
         assert x.grad is not None and w.grad is not None
 
 
-class TestRelease:
-    def test_drops_recorded_values_only(self):
+class TestLifetime:
+    """An interior value lives while code holds its Var or a VJP holds the array."""
+
+    def test_dropped_interior_value_is_freed_before_backward(self):
+        # add's VJP reads no value, so dropping y's Var frees y's array; the
+        # graph still carries the gradient through y's node to the leaves.
         x = Var(np.array([1.0, 2.0]))
-        y = scale(x, 2.0)
-        with no_grad():
-            z = scale(x, 3.0)
-        release(x, y, z)
-        assert y.value is None
-        assert np.array_equal(x.value, [1.0, 2.0])
-        assert np.array_equal(z.value, [3.0, 6.0])
-        with pytest.raises(AttributeError):
-            y.shape  # reading a released value is an error
+        w = Var(np.array([3.0, 5.0]))
+        y = add(x, w)
+        value = weakref.ref(y.value)
+        z = scale(y, 2.0)
+        del y
+        assert value() is None
+        backward(project_scalar(z, np.ones(2)))
+        assert np.array_equal(x.grad, [2.0, 2.0])
+        assert np.array_equal(w.grad, [2.0, 2.0])
 
     def test_captured_values_still_reach_the_gradient(self):
-        # mul's VJP captured y's array, so releasing the node frees nothing
+        # mul's VJP captured y's array, so dropping y's Var frees nothing
         # that backward reads: d(x^4)/dx = 4x^3.
         x = Var(np.array([1.0, 2.0]))
         y = mul(x, x)
         z = mul(y, y)
-        release(y)
+        del y
         backward(project_scalar(z, np.ones(2)))
         assert np.array_equal(x.grad, [4.0, 32.0])

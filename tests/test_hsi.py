@@ -24,6 +24,7 @@ from lkcanet.hsi import (
     patch_origins,
     patch_pairs,
     pavia_protocol,
+    plan_split,
     read_cube,
     resize_bands,
     write_cube,
@@ -462,6 +463,20 @@ class TestBuildSplit:
         assert all(t.shape == (2, 512, 2048) for t in split.test)
         # training area is rows 2048.. -> 7 * 63 origins
         assert len(split.train) + len(split.val) == 7 * 63
+
+    def test_test_regions_are_views(self):
+        # Chikusei geometry at 8 bands, 151 MB: copies of the four test
+        # regions held 134 MB. The zero cube's pages are never written.
+        cube = HsiCube(np.zeros((8, 2304, 2048), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, test, _ = plan_split(cube, chikusei_protocol(), PatchSpec(64, 32, 4), seed=0)
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert all(np.shares_memory(t.data, cube.data) for t in test)
+        assert max(held, peak) < 1 << 20, f"plan_split held {held} bytes, peaked at {peak}"
 
     def test_overlapping_custom_regions_rejected(self):
         cube = random_cube(1, 32, 32)

@@ -168,8 +168,9 @@ class TestForward:
         assert np.array_equal(i_sr.value, ref_sr)
 
     def test_released_graph_gives_the_primitive_gradients(self):
-        # The forward releases interior values; a composition that keeps
-        # them all must give the same parameter gradients, bit for bit.
+        # The forward frees interior values as its helpers return; the same
+        # primitives written out in one body must give the same parameter
+        # gradients, bit for bit.
         model = LkcaNet(toy_config(drop_path_rate=0.3), seed=7)
         rng = np.random.default_rng(6)
         x = rng.random((3, 4, 6, 6), dtype=np.float32)

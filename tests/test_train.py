@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import probe_config, synthetic_split
-from oracles import UncachedTeacher, buffer_of, graph_nodes, vjp_buffers
+from oracles import UncachedTeacher, buffer_of, graph_nodes, vjp_buffers, vjp_captures
 
 from lkcanet.autodiff import Var
 from lkcanet.losses import DecaySchedule, LossWeights
@@ -208,10 +208,11 @@ class TestTrainingTape:
     """The graph of one training step, seen by the backward that consumes it."""
 
     @staticmethod
-    def _one_step(monkeypatch, student, teacher=None, r=2, *, before_forward=None,
-                  before_backward=None, after_backward=None):
-        """Run one step of train (or distill) with hooks around its training
-        forward and its backward, which ``before_backward`` gets the root of.
+    def _one_step(monkeypatch, student, teacher=None, r=2, *, kd_target="post_shuffle",
+                  before_forward=None, before_backward=None, after_backward=None):
+        """Run one step of train (or distill on ``kd_target``) with hooks
+        around its training forward, which ``before_forward`` gets the batch
+        of, and its backward, which ``before_backward`` gets the root of.
         Returns the reconstruction's size in bytes."""
         train_mod = importlib.import_module("lkcanet.train")
         forward, backward = LkcaNet.forward, train_mod.backward
@@ -219,7 +220,7 @@ class TestTrainingTape:
 
         def spy_forward(net, x, training=False, rng=None):
             if training and before_forward:
-                before_forward()
+                before_forward(x)
             out = forward(net, x, training=training, rng=rng)
             if training:
                 sizes.append(out[0].value.nbytes)
@@ -240,29 +241,25 @@ class TestTrainingTape:
         if teacher is None:
             train(student, split, cfg)
         else:
-            distill(teacher, student, split, cfg)
+            distill(teacher, student, split, cfg, DistillConfig(kd_target=kd_target))
         assert len(sizes) == 1
         return sizes[0]
 
-    @pytest.mark.parametrize("distilling", [False, True], ids=["train", "distill"])
-    def test_step_holds_only_what_backward_reads(self, monkeypatch, distilling):
-        # Every array-valued interior node is released or is memory that a
-        # VJP captured. The loss terms are scalars.
-        unread = []
+    @pytest.mark.parametrize("kd_target", [None, "post_shuffle", "reconstruction"],
+                             ids=["train", "distill", "distill-reconstruction"])
+    def test_step_holds_only_what_backward_reads(self, monkeypatch, kd_target):
+        # The graph links nodes, which hold no value, so the tape is what the
+        # VJPs capture. A VJP that captured a Var would keep its whole value
+        # alive through backward, whether or not it reads it.
+        reached = []
 
         def check(root):
-            nodes = graph_nodes(root)
-            kept = vjp_buffers(nodes)
-            unread.extend(
-                n.value.shape for n in nodes
-                if n._vjp is not None and n.value is not None and n.value.ndim > 0
-                and id(buffer_of(n.value)) not in kept
-            )
+            reached.extend(repr(o) for o in vjp_captures(graph_nodes(root)) if isinstance(o, Var))
 
         student = LkcaNet(tiny_config(drop_path_rate=0.5), seed=0)
-        teacher = LkcaNet(tiny_config(num_blocks=3), seed=1) if distilling else None
-        self._one_step(monkeypatch, student, teacher, before_backward=check)
-        assert unread == []
+        teacher = None if kd_target is None else LkcaNet(tiny_config(num_blocks=3), seed=1)
+        self._one_step(monkeypatch, student, teacher, kd_target=kd_target, before_backward=check)
+        assert reached == []
 
     def test_step_peak_above_the_tape(self, monkeypatch):
         # Above what the VJPs keep, a step peaks in the loss's forward and
@@ -270,24 +267,24 @@ class TestTrainingTape:
         # reconstructions at this shape. Keeping every interior value and
         # float sign arrays made it 7.3.
         seen = {}
+        student = LkcaNet(probe_config(drop_path_rate=0.1), seed=0)
 
-        def start():
+        def start(batch):
+            seen["leaves"] = {id(buffer_of(v)) for v in [batch, *(p.value for p in student.params.values())]}
             seen["base"] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
 
         def tape(root):
-            nodes = graph_nodes(root)
-            leaves = {id(buffer_of(n.value)) for n in nodes if n._vjp is None}
-            seen["tape"] = sum(nb for key, nb in vjp_buffers(nodes).items() if key not in leaves)
+            kept = vjp_buffers(graph_nodes(root))
+            seen["tape"] = sum(nb for key, nb in kept.items() if key not in seen["leaves"])
 
         def stop():
             seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
 
         tracemalloc.start()
         try:
-            sr = self._one_step(monkeypatch, LkcaNet(probe_config(drop_path_rate=0.1), seed=0),
-                                r=4, before_forward=start, before_backward=tape,
-                                after_backward=stop)
+            sr = self._one_step(monkeypatch, student, r=4, before_forward=start,
+                                before_backward=tape, after_backward=stop)
         finally:
             tracemalloc.stop()
         above = (seen["peak"] - seen["tape"]) / sr
