@@ -218,28 +218,22 @@ def _save_split(test: list, manifest: dict, out_dir: Path, cube_path: str) -> li
     return [out_dir / name for name in (*names, "split.json")]
 
 
-def _load_test_regions(split_dir) -> tuple[list, dict]:
-    """The whole test regions and the manifest of a ``prepare`` output
-    directory; the source cube is not read."""
+def load_split(split_dir) -> "hsi.Split":
+    """Rebuild a materialized split from a ``prepare`` output directory. Its
+    source cube, after the recorded crop, must have the shape it was planned
+    on; every HR patch and test region is a view of it."""
     path = Path(split_dir) / "split.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    files = manifest.get("test_files") if isinstance(manifest, dict) else None
-    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
-        raise ValueError(f"{path}: must be a JSON object whose test_files lists file names")
-    return [read_cube(path.parent / name) for name in files], manifest
-
-
-def load_split(split_dir) -> "hsi.Split":
-    """Rebuild a materialized split from a ``prepare`` output directory; its
-    source cube, after the recorded crop, must have the shape it was planned on."""
-    test, manifest = _load_test_regions(split_dir)
+    if not (isinstance(manifest, dict) and {"cube_path", "cube_shape", "test_regions"} <= manifest.keys()):
+        raise ValueError(f"{path}: must be a JSON object holding cube_path, cube_shape and test_regions")
+    regions = custom_protocol(manifest["test_regions"]).test_regions
     cube = read_cube(manifest["cube_path"])
     if manifest.get("crop_shape"):
         cube = hsi.central_crop(cube, *manifest["crop_shape"])
     if list(cube.shape) != manifest["cube_shape"]:
         raise ValueError(f"{manifest['cube_path']}: the split was planned on a {manifest['cube_shape']} "
                          f"cube, but the source is {list(cube.shape)} after the recorded crop")
-    return hsi.cut_split(cube, test, manifest)
+    return hsi.cut_split(cube, [cube.crop(*r.as_tuple()) for r in regions], manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +404,13 @@ def _cmd_approximate(ns) -> int:
 
 
 def _cmd_eval(ns) -> int:
-    test, manifest = _load_test_regions(ns.split)
+    # The one reader of the test_<i>.hsc files; the source cube is not read.
+    path = Path(ns.split) / "split.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    files = manifest.get("test_files") if isinstance(manifest, dict) else None
+    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
+        raise ValueError(f"{path}: must be a JSON object whose test_files lists file names")
+    test = [read_cube(path.parent / name) for name in files]
     r = manifest["scale_factor"]
     if ns.baseline:  # its one choice is bicubic
         scorer, label = BicubicBaseline(r), ns.baseline

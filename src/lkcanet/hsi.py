@@ -99,9 +99,9 @@ class HsiCube:
 
     def crop(self, row: int, col: int, height: int, width: int) -> "HsiCube":
         """The height x width window at (row, col), as a view of the data."""
-        if row < 0 or col < 0 or row + height > self.height or col + width > self.width:
+        if min(height, width) < 1 or row < 0 or col < 0 or row + height > self.height or col + width > self.width:
             raise CubeValidationError(
-                f"crop ({row},{col},{height},{width}) exceeds cube extent "
+                f"crop ({row},{col},{height},{width}) is empty or exceeds cube extent "
                 f"{self.height}x{self.width}"
             )
         return HsiCube(self.data[:, row : row + height, col : col + width], dict(self.meta))
@@ -324,7 +324,7 @@ def grid_origins(height: int, width: int, spec: PatchSpec) -> list[tuple[int, in
 
 
 def patch_pairs(cube: HsiCube, origins, spec: PatchSpec) -> list[PatchPair]:
-    """The HR patches of a cube at the given origins, each with its LR pair."""
+    """The HR patches (views of the cube's data) at the given origins, each with its LR pair."""
     s = spec.patch_size
     out = []
     for r0, c0 in origins:
@@ -332,7 +332,7 @@ def patch_pairs(cube: HsiCube, origins, spec: PatchSpec) -> list[PatchPair]:
             raise CubeValidationError(
                 f"patch at {(r0, c0)} exceeds cube extent {cube.height}x{cube.width}"
             )
-        hr = cube.data[:, r0 : r0 + s, c0 : c0 + s].copy()
+        hr = cube.data[:, r0 : r0 + s, c0 : c0 + s]
         out.append(PatchPair(hr=hr, lr=degrade_array(hr, spec.scale_factor), origin=(r0, c0)))
     return out
 
@@ -344,12 +344,19 @@ def patch_pairs(cube: HsiCube, origins, spec: PatchSpec) -> list[PatchPair]:
 
 @dataclass(frozen=True)
 class Region:
-    """A rectangular spatial region (row, col, height, width)."""
+    """A rectangular spatial region (row, col, height, width) of integers."""
 
     row: int
     col: int
     height: int
     width: int
+
+    def __post_init__(self):
+        fields = self.as_tuple()
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in fields):
+            raise ValueError(f"region {list(fields)}: row, col, height and width must be integers")
+        if self.height < 1 or self.width < 1:
+            raise ValueError(f"region {list(fields)}: height and width must be at least 1")
 
     def intersects(self, other: "Region") -> bool:
         return not (

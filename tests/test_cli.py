@@ -163,7 +163,12 @@ class TestPrepare:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("regions", ["[[0, 0, 16", "[[0, 0]]", "5"])
+    @pytest.mark.parametrize("regions", [
+        "[[0, 0, 16", "[[0, 0]]", "5",
+        # A negative height once sliced as an end: a 48-row test region, and
+        # the grid patches under it kept for training.
+        "[[0, 0, -16, 32]]", "[[0, 0, 16.5, 32]]", '[["a", 0, 16, 32]]', "[[0, 0, 0, 32]]",
+    ])
     def test_malformed_regions_rejected(self, workspace, tmp_path, regions):
         code = run(
             "prepare", "--cube", str(workspace / "cube.hsc"), "--dataset", "custom",
@@ -216,6 +221,17 @@ class TestLoadSplit:
         assert run(command, "--split", str(split), *flags[command]) == 3
         assert "split.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("region", [[0, 0, -16, 32], [0, 0, 16.5, 32], [0, 0, 0, 32]])
+    def test_edited_test_region_is_validation_error(self, workspace, tmp_path, capsys, region):
+        split = tmp_path / "split"
+        shutil.copytree(workspace / "split", split)
+        manifest = json.loads((split / "split.json").read_text())
+        (split / "split.json").write_text(json.dumps({**manifest, "test_regions": [region]}))
+        code = run("train", "--split", str(split), "--out", str(tmp_path / "m.lkca"),
+                   "--epochs", "0", *TINY_MODEL_FLAGS)
+        assert code == 3
+        assert f"region {region}" in capsys.readouterr().err
+
     def test_changed_custom_source_is_validation_error(self, workspace, tmp_path, capsys):
         cube = tmp_path / "cube.hsc"
         shutil.copy(workspace / "cube.hsc", cube)
@@ -252,6 +268,48 @@ class TestLoadSplit:
         assert split.train
         # Beside what the split keeps: the cube once, and one resize chunk's work.
         assert peak <= held + data.nbytes + 2 * hsi._RESIZE_CHUNK_BYTES
+
+    def test_loaded_split_holds_its_source_once(self, tmp_path):
+        # The benchmark's train_wide shape: 32x224x192 at x4, one 64x64 test
+        # region and 26 patches (64/32 geometry).
+        data = np.random.default_rng(0).random((32, 224, 192), dtype=np.float32)
+        write_cube(HsiCube(data), tmp_path / "cube.hsc")
+        assert run("prepare", "--cube", str(tmp_path / "cube.hsc"), "--dataset", "custom",
+                   "--regions", "[[0, 0, 64, 64]]", "--scale", "4", "--out", str(tmp_path / "split")) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            split = load_split(tmp_path / "split")
+            held, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(split.train) + len(split.val) == 26 and len(split.test) == 1
+        # Copies of the patches and a second read of the test region held
+        # 2.73x the cube and peaked at 3.97x.
+        assert peak <= 1.5 * data.nbytes, f"load_split peaked at {peak / data.nbytes:.2f}x the cube"
+        assert held <= 1.25 * data.nbytes, f"load_split held {held / data.nbytes:.2f}x the cube"
+        views = [pair.hr for pair in split.train + split.val] + [region.data for region in split.test]
+        source = views[0].base
+        assert source.nbytes == data.nbytes
+        assert all(v.base is source and np.shares_memory(v, source) for v in views)
+        assert np.array_equal(split.test[0].data, data[:, :64, :64])
+
+    def test_train_and_distill_read_no_test_file(self, workspace, tmp_path):
+        split = tmp_path / "split"
+        shutil.copytree(workspace / "split", split)
+        for path in split.glob("test_*.hsc"):
+            path.unlink()
+        fit = ["--epochs", "1", "--batch-size", "4", *TINY_MODEL_FLAGS]
+        # A distilled checkpoint records its teacher's path, so both runs share one.
+        teacher = tmp_path / "intact.lkca"
+        for name, source in (("intact", workspace / "split"), ("no-test", split)):
+            assert run("train", "--split", str(source), "--out", str(tmp_path / f"{name}.lkca"),
+                       *fit, "--blocks", "2") == 0
+            assert run("distill", "--teacher", str(teacher), "--split", str(source),
+                       "--out", str(tmp_path / f"{name}-student.lkca"), *fit) == 0
+        for suffix in (".lkca", "-student.lkca"):
+            assert (tmp_path / f"intact{suffix}").read_bytes() == (tmp_path / f"no-test{suffix}").read_bytes()
+        assert run("eval", "--split", str(split), "--baseline", "bicubic") == 3
 
 
 class TestTrainCli:

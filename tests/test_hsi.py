@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -328,6 +329,15 @@ class TestDegrade:
         cube = random_cube(2, 8, 8)
         assert np.array_equal(degrade(cube, 2).data, degrade_array(cube.data, 2))
 
+    @pytest.mark.parametrize("window", [(0, 0, 64, 64), (37, 51, 64, 64), (96, 4, 128, 96), (1, 3, 220, 188)])
+    def test_strided_view_resizes_exactly(self, window):
+        # A patch or test region is a view of its source cube, with the
+        # cube's strides; it must degrade as its contiguous copy does.
+        cube = random_cube(32, 224, 192)
+        view = cube.crop(*window).data
+        assert not view.flags.c_contiguous
+        assert np.array_equal(degrade_array(view, 4), degrade_array(view.copy(), 4))
+
     def test_constant(self):
         cube = HsiCube(np.full((1, 8, 8), 0.25, dtype=np.float32))
         assert np.abs(degrade(cube, 2).data - 0.25).max() <= 1e-6
@@ -417,6 +427,17 @@ class TestProtocols:
             for i, a in enumerate(regs):
                 for b in regs[i + 1 :]:
                     assert not a.intersects(b)
+
+    @pytest.mark.parametrize("fields", [(0, 0, -16, 32), (0, 0, 16, 0), (0, 0, 16.5, 32), ("a", 0, 16, 32),
+                                        (True, 0, 16, 32), (0, 0, np.int64(16), 32.0)])
+    def test_region_rejects_a_non_integer_field_or_an_empty_extent(self, fields):
+        with pytest.raises(ValueError, match=re.escape(f"region {list(fields)}")):
+            Region(*fields)
+
+    @pytest.mark.parametrize("extent", [(0, 8), (8, 0), (-4, 8)])
+    def test_crop_rejects_an_extent_below_one(self, extent):
+        with pytest.raises(CubeValidationError, match="empty"):
+            random_cube(1, 16, 16).crop(4, 4, *extent)
 
 
 class TestBuildSplit:
