@@ -123,7 +123,9 @@ def backward(root: Var) -> None:
     node drops its closure, its parents and its gradient, so the arrays the
     closures hold are freed while the pass runs rather than when the caller
     lets go of the root. Leaves keep their ``grad``. A new backward needs a
-    new forward.
+    new forward. A VJP's closure is dropped before its gradients are summed,
+    and only a sum this pass allocated is added into in place: a VJP may hand
+    one array to two parents, as ``add`` does.
     """
     if root.value.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
@@ -146,15 +148,25 @@ def backward(root: Var) -> None:
                 stack.append((parent, False))
 
     root.grad = np.ones_like(root.value)
+    owned: set[_Node] = set()  # nodes whose grad is a sum this pass allocated
     while order:
         node = order.pop()
         vjp, parents, grad = node.vjp, node.parents, node.grad
         if vjp is None:
             continue
         node.vjp, node.parents, node.grad = None, (), None
+        owned.discard(node)  # its sum is handed to the VJP
         if grad is None:
             continue
-        for parent, g in zip(parents, vjp(grad)):
+        grads = vjp(grad)
+        del vjp, grad
+        for parent, g in zip(parents, grads):
             if g is None:
                 continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+            if parent.grad is None:
+                parent.grad = g
+            elif parent in owned and parent.grad.dtype == np.result_type(parent.grad, g):
+                parent.grad += g
+            else:
+                parent.grad = parent.grad + g
+                owned.add(parent)

@@ -81,23 +81,52 @@ def l1_loss(pred, target) -> Var:
     n = diff.size
     sgn = _sign8(diff)
     val = np.asarray(np.abs(diff, out=diff).mean())
-    return record(val, (p,), lambda g: (g * sgn / n,))
+    # g is a scalar, so (g / n) * sgn is g * sgn / n, exactly, in one array.
+    return record(val, (p,), lambda g: ((g / n) * sgn,))
+
+
+def _band_sums(terms, bands: int) -> list:
+    """Per-pixel sums over the bands of the (N, 1, H, W) arrays that
+    ``terms(i)`` returns for band i, added from zero in band order. These are
+    the additions, and so the bits, of ``.sum(axis=1, keepdims=True)`` on a
+    C-contiguous (N, B, H, W) stack, without building the stack."""
+    totals = None
+    for i in range(bands):
+        parts = terms(i)
+        if totals is None:
+            totals = [np.zeros_like(part) for part in parts]
+        for total, part in zip(totals, parts):
+            total += part
+    return totals
 
 
 def _spectral_geometry(a: np.ndarray, b: np.ndarray):
-    """Unit spectra, guarded norms, cosine, and zero-vector mask.
+    """Unit spectra by band, a's guarded norm, and the zero-vector mask.
 
-    Spectra run along axis 1 of (N, B, H, W) stacks. Norms below the guard
-    leave the corresponding unit vector ~0 and flag the pixel.
+    Spectra run along axis 1 of (N, B, H, W) stacks; ``unit(i)`` gives band i
+    of the unit spectra u and v. Norms below the guard leave the
+    corresponding unit vector ~0 and flag the pixel.
     """
-    na = np.sqrt((a * a).sum(axis=1, keepdims=True))
-    nb = np.sqrt((b * b).sum(axis=1, keepdims=True))
+    na, nb = (np.sqrt(s) for s in _band_sums(
+        lambda i: (np.square(a[:, i : i + 1]), np.square(b[:, i : i + 1])), a.shape[1]))
     sa = np.maximum(na, _NORM_EPS)
     sb = np.maximum(nb, _NORM_EPS)
-    u = a / sa
-    v = b / sb
     degenerate = (na <= _NORM_EPS) | (nb <= _NORM_EPS)
-    return u, v, sa, degenerate
+
+    def unit(i):
+        return a[:, i : i + 1] / sa, b[:, i : i + 1] / sb
+
+    return unit, sa, degenerate
+
+
+def _residual(unit, cos: np.ndarray, shape) -> np.ndarray:
+    """v - cos * u, written band by band into one new (N, B, H, W) array."""
+    resid = np.empty(shape, cos.dtype)
+    for i in range(shape[1]):
+        u, v = unit(i)
+        band = np.multiply(cos, u, out=resid[:, i : i + 1])
+        np.subtract(v, band, out=band)
+    return resid
 
 
 def sam_loss(pred, target) -> Var:
@@ -105,35 +134,31 @@ def sam_loss(pred, target) -> Var:
     p, t = _pair(pred, target)
     if p.value.ndim != 4:
         raise ValueError(f"expected (N, B, H, W) inputs, got shape {p.shape}")
-    u, v, sa, degenerate = _spectral_geometry(p.value, t)
-    # One band-stack buffer serves u - v, u + v, u * v and the residual.
-    buf = np.subtract(u, v)
-    buf *= buf
-    dq = np.sqrt(buf.sum(axis=1, keepdims=True))
-    np.add(u, v, out=buf)
-    buf *= buf
-    dp = np.sqrt(buf.sum(axis=1, keepdims=True))
-    theta = 2.0 * np.arctan2(dq, dp)
+    a = p.value
+    unit, sa, degenerate = _spectral_geometry(a, t)
+
+    def terms(i):
+        u, v = unit(i)
+        return np.square(u - v), np.square(u + v), u * v
+
+    dq, dp, cos = _band_sums(terms, a.shape[1])
+    theta = 2.0 * np.arctan2(np.sqrt(dq), np.sqrt(dp))
     npix = theta.size
     val = np.asarray(theta.mean())
 
-    np.multiply(u, v, out=buf)
-    cos = buf.sum(axis=1, keepdims=True)
     # d theta / d a = -(v - cos*u) / (|a| * sin); since |v - cos*u| = sin,
     # normalizing the residual keeps the magnitude at the exact bound 1/|a|
     # even for near-zero angles (where the direction is a subgradient choice).
-    resid = np.multiply(cos, u, out=buf)
-    np.subtract(v, resid, out=resid)
-    del u, v
-    rnorm = np.sqrt((resid * resid).sum(axis=1, keepdims=True))
+    # The residual becomes the one array the VJP keeps.
+    ga = _residual(unit, cos, a.shape)
+    rnorm = np.sqrt(_band_sums(lambda i: (np.square(ga[:, i : i + 1]),), a.shape[1])[0])
     # Divide only where the residual has a direction: a float32 rnorm of 0
     # would otherwise divide 0 by 0.
     turning = rnorm > 1e-12
-    np.divide(resid, rnorm, out=resid, where=turning)
-    np.copyto(resid, 0.0, where=~turning)
-    # The gradient without g, -direction / |a|, built here so the VJP holds
-    # one array.
-    ga = np.negative(resid, out=resid)
+    np.divide(ga, rnorm, out=ga, where=turning)
+    np.copyto(ga, 0.0, where=~turning)
+    # The gradient without g is -direction / |a|.
+    np.negative(ga, out=ga)
     ga /= sa
     np.copyto(ga, 0.0, where=degenerate)
 
@@ -149,21 +174,21 @@ def cos_loss(pred, target) -> Var:
     if p.value.ndim != 4:
         raise ValueError(f"expected (N, B, H, W) inputs, got shape {p.shape}")
     a = p.value
-    u, v, sa, degenerate = _spectral_geometry(a, t)
+    unit, sa, degenerate = _spectral_geometry(a, t)
     # 1 - |u - v|^2 / 2 equals <u, v> for unit vectors but is exactly 1.0
     # when the inputs are identical.
-    cos = 1.0 - 0.5 * ((u - v) ** 2).sum(axis=1, keepdims=True)
+    (dq,) = _band_sums(lambda i: (np.square(np.subtract(*unit(i))),), a.shape[1])
+    cos = 1.0 - 0.5 * dq
     cos = np.where(degenerate, 0.0, cos)
     npix = cos.size
     val = np.asarray(1.0 - cos.mean())
 
-    def vjp(g):
-        # d cos / d a = (v - cos * u) / |a|
-        ga = (v - cos * u) / sa
-        ga = np.where(degenerate, 0.0, ga)
-        return (-(g / npix) * ga,)
+    # d cos / d a = (v - cos * u) / |a|, one array where the VJP would keep u and v.
+    ga = _residual(unit, cos, a.shape)
+    ga /= sa
+    np.copyto(ga, 0.0, where=degenerate)
 
-    return record(val, (p,), vjp)
+    return record(val, (p,), lambda g: (-(g / npix) * ga,))
 
 
 # (later, earlier) sample of each forward difference, along rows and columns.
@@ -172,12 +197,14 @@ _COLS = (np.s_[:, :, :, 1:], np.s_[:, :, :, :-1])
 
 
 def _residual_sign(a: np.ndarray, t: np.ndarray, pair) -> tuple[np.ndarray, np.generic]:
-    """sign(r) as int8 and |r|.sum() for r = (a[hi] - a[lo]) - (t[hi] - t[lo])."""
+    """sign(r) as int8 and |r|.sum() for r = (a[hi] - a[lo]) - (t[hi] - t[lo]),
+    with t's differences taken one band at a time so r is the one full array."""
     hi, lo = pair
     r = a[hi] - a[lo]
-    dt = t[hi] - t[lo]
-    r = np.subtract(r, dt, out=r if r.dtype == np.result_type(r, dt) else None)
-    del dt
+    r = r.astype(np.result_type(r, t), copy=False)
+    for i in range(t.shape[1]):
+        band = t[:, i : i + 1]
+        r[:, i : i + 1] -= band[hi] - band[lo]
     sgn = _sign8(r)
     return sgn, np.abs(r, out=r).sum()
 
@@ -212,11 +239,14 @@ def grad_loss(pred, target) -> Var:
 
 def h_loss(pred, target, weights: LossWeights = LossWeights()) -> Var:
     """Supervised loss: L1 + lam1 * angle + lam2 * gradient."""
+    # The gradient term runs first, before the other terms' kept arrays
+    # exist. The graph, and so the order backward sums in, is unchanged.
+    grad = grad_loss(pred, target) if weights.lam2 != 0.0 else None
     total = l1_loss(pred, target)
     if weights.lam1 != 0.0:
         total = add(total, scale(sam_loss(pred, target), weights.lam1))
-    if weights.lam2 != 0.0:
-        total = add(total, scale(grad_loss(pred, target), weights.lam2))
+    if grad is not None:
+        total = add(total, scale(grad, weights.lam2))
     return total
 
 
@@ -224,9 +254,10 @@ def kd_loss(student_features, teacher_features, weights: LossWeights = LossWeigh
     """Feature-alignment loss on post-pixel-shuffle maps:
     lam3 * cosine + lam4 * angle + lam5 * gradient. The teacher side is a
     constant (no gradient flows into it)."""
+    grad = grad_loss(student_features, teacher_features)  # first, as in h_loss
     total = scale(cos_loss(student_features, teacher_features), weights.lam3)
     total = add(total, scale(sam_loss(student_features, teacher_features), weights.lam4))
-    total = add(total, scale(grad_loss(student_features, teacher_features), weights.lam5))
+    total = add(total, scale(grad, weights.lam5))
     return total
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import ops
-from .autodiff import Var, as_var, no_grad
+from .autodiff import Var, constant, no_grad
 from .hsi import resize_bands
 
 CHECKPOINT_MAGIC = b"LKCACKPT"
@@ -284,15 +284,16 @@ class LkcaNet:
     def features(self, x, training: bool = False, rng=None) -> Var:
         """The head conv and the blocks, (N, bands, H, W) Var or array to
         (N, C, H, W); ``training`` enables drop path (rng needed if rate > 0)."""
-        x = as_var(x)
         cfg = self.config
-        if x.value.ndim != 4 or x.shape[1] != cfg.bands:
+        shape = np.shape(constant(x))
+        if len(shape) != 4 or shape[1] != cfg.bands:
             raise ValueError(
                 f"input must be (N, {cfg.bands}, H, W) to match the configured bands, "
-                f"got {x.shape}"
+                f"got {shape}"
             )
         p = self.params
-        # Rebinding f frees each feature map once its block has read it.
+        # Rebinding f frees each feature map once its block has read it. An
+        # array x reaches the head conv as data, so no input gradient is built.
         f = ops.conv2d(x, p["head.weight"], p["head.bias"])
         for i in range(cfg.num_blocks):
             f = self.lkb_forward(f, i, training=training, rng=rng)
@@ -306,20 +307,19 @@ class LkcaNet:
         once the conv has read them, and the pre-shuffle map before the skip
         is built."""
         cfg = self.config
-        f = ops.conv2d(as_var(f), self.params["upsampler.weight"], None, groups=cfg.upsampler_groups)
+        f = ops.conv2d(f, self.params["upsampler.weight"], None, groups=cfg.upsampler_groups)
         f_up = ops.pixel_shuffle(f, cfg.scale_factor)
         del f
         if x is None:
             return None, f_up
-        x = as_var(x)
+        x = constant(x)
         r = cfg.scale_factor
-        skip = resize_bands(x.value, x.shape[2] * r, x.shape[3] * r)
+        skip = resize_bands(x, x.shape[2] * r, x.shape[3] * r)
         return ops.add_const(f_up, skip), f_up
 
     def forward(self, x, training: bool = False, rng=None) -> tuple[Var, Var]:
         """Super-resolve a batch: (reconstruction, upsampled_features), the
         :meth:`upsample` of :meth:`features`."""
-        x = as_var(x)
         return self.upsample(self.features(x, training, rng), x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -161,12 +161,12 @@ def _col2im(cols: np.ndarray, x_shape, k: int, dilation: int) -> np.ndarray:
     return x
 
 
-def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int):
+def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, need_gx: bool = True):
     """Dense and grouped convs as one batched matmul per group.
 
     A 1x1 conv multiplies the input itself, reshaped; larger kernels go
     through the im2col buffer, which the VJP keeps. Returns (out, vjp)
-    where ``vjp(g)`` gives (gx, gw).
+    where ``vjp(g)`` gives (gx, gw), with gx None unless ``need_gx``.
     """
     n, cin, h, w = xv.shape
     cout, _, k, _ = wv.shape
@@ -180,7 +180,14 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int):
 
     def vjp(g):
         go = g.reshape(n, groups, cout // groups, h * w)
-        gw = np.matmul(go, cols.swapaxes(-1, -2)).sum(axis=0).reshape(wv.shape)
+        # The samples' products are added from zero one at a time: the
+        # stacked product's .sum(axis=0), without the stack.
+        gw = np.zeros((groups, cout // groups, cols.shape[2]), np.result_type(go, cols))
+        for s in range(n):
+            gw += go[s] @ cols[s].swapaxes(-1, -2)
+        gw = gw.reshape(wv.shape)
+        if not need_gx:
+            return None, gw
         gcols = np.matmul(wmat.swapaxes(-1, -2), go)
         if k == 1:
             return gcols.reshape(x_shape), gw
@@ -189,7 +196,7 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int):
     return out, vjp
 
 
-def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int):
+def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool):
     """Depthwise conv, one k x k filter per channel.
 
     The forward is the im2col matmul of :func:`_matmul_conv`, run on one
@@ -200,8 +207,9 @@ def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int):
     because training amplifies any change in its rounding: Adam's first
     step follows the sign of each gradient element. The VJP is direct
     shift-and-accumulate over the taps that overlap the image and keeps
-    only the input and the weights. Returns (out, vjp) where ``vjp(g)``
-    gives (gx, gw).
+    only the input and the weights; it accumulates gx channels-last, through
+    one reused product buffer. Returns (out, vjp) where ``vjp(g)`` gives
+    (gx, gw), with gx None unless ``need_gx``.
     """
     n, c, h, w = xv.shape
     k = wv.shape[-1]
@@ -216,13 +224,20 @@ def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int):
     taps = _taps(k, dilation, h, w)
 
     def vjp(g):
-        gx = np.zeros(xv.shape, dtype=np.result_type(g, wv))
         gw = np.zeros(w2.shape, dtype=np.result_type(g, xv))
         for i, j, dst, src in taps:
-            go = g[dst]
-            gx[src] += w2[:, i, j, None, None] * go
-            gw[:, i, j] = np.einsum("nchw,nchw->c", go, xv[src])
-        return gx, gw.reshape(wv.shape)
+            gw[:, i, j] = np.einsum("nchw,nchw->c", g[dst], xv[src])
+        if not need_gx:
+            return None, gw.reshape(wv.shape)
+        g_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+        gx = np.zeros(g_last.shape, dtype=np.result_type(g, wv))
+        product = np.empty(gx.size, gx.dtype)
+        for i, j, dst, src in taps:
+            go = g_last[(slice(None), *dst[1:])]
+            tap = np.multiply(go, w2[:, i, j], out=product[: go.size].reshape(go.shape))
+            gx[(slice(None), *src[1:])] += tap
+        del g_last, product
+        return np.ascontiguousarray(gx.transpose(0, 3, 1, 2)), gw.reshape(wv.shape)
 
     return out, vjp
 
@@ -232,6 +247,7 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, g
 
     See the module docstring for which implementation each conv kind takes.
     """
+    need_gx = isinstance(x, Var)  # a plain array is data, with no gradient
     x, weight = as_var(x), as_var(weight)
     cin, cout, k = _conv_geometry(x.shape, weight.shape, dilation, groups)
     if bias is not None:
@@ -240,9 +256,9 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, g
             raise ValueError(f"bias shape {bias.shape} != ({cout},)")
 
     if groups == cin == cout and k > 1:
-        out, conv_vjp = _depthwise_conv(x.value, weight.value, dilation)
+        out, conv_vjp = _depthwise_conv(x.value, weight.value, dilation, need_gx)
     else:
-        out, conv_vjp = _matmul_conv(x.value, weight.value, dilation, groups)
+        out, conv_vjp = _matmul_conv(x.value, weight.value, dilation, groups, need_gx)
     if bias is None:
         return record(out, (x, weight), conv_vjp)
     out += bias.value[:, None, None]  # the product has no other owner

@@ -16,6 +16,10 @@
 - ``composed_forward``: the network's training forward written out in
   primitives in one body; ``sign_loss_grads``: the L1 and gradient loss
   VJPs with float sign arrays.
+- ``stack_l1_loss`` to ``stack_kd_loss``: the losses written on whole band
+  stacks, the reference the library's band-at-a-time sums must equal bit
+  for bit; ``tap_loop_depthwise_vjp``: the depthwise conv's VJP as a
+  channels-first loop over the taps.
 - ``graph_nodes``, ``vjp_captures``, ``buffer_of`` and ``vjp_buffers``: the
   nodes of a recorded graph, what their VJP closures capture, and which
   buffers those keep.
@@ -30,8 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lkcanet import ops
-from lkcanet.autodiff import Var, as_var, backward, no_grad, record
+from lkcanet.autodiff import Var, as_var, backward, constant, no_grad, record
 from lkcanet.hsi import _cubic_taps, cut_split, plan_split, resize_bands
+from lkcanet.losses import LossWeights
 
 # The finite-difference checker's step, the seed of its fixed projection of
 # a tensor output to a scalar, and the number of failing elements a report
@@ -412,6 +417,104 @@ def sign_loss_grads(a, t):
     g_grad[:, :, :, 1:] += gx
     g_grad[:, :, :, :-1] -= gx
     return g_l1, g_grad
+
+
+# ---------------------------------------------------------------------------
+# Whole-stack losses and the channels-first depthwise VJP
+# ---------------------------------------------------------------------------
+
+
+def _sign8(x):
+    return (x > 0).astype(np.int8) - (x < 0)
+
+
+def _stack_geometry(a, b, eps=1e-8):
+    na = np.sqrt((a * a).sum(axis=1, keepdims=True))
+    nb = np.sqrt((b * b).sum(axis=1, keepdims=True))
+    sa, sb = np.maximum(na, eps), np.maximum(nb, eps)
+    return a / sa, b / sb, sa, (na <= eps) | (nb <= eps)
+
+
+def stack_l1_loss(pred, target):
+    p, t = as_var(pred), constant(target)
+    diff = p.value - t
+    sgn = _sign8(diff)
+    return record(np.asarray(np.abs(diff).mean()), (p,), lambda g: (g * sgn / diff.size,))
+
+
+def stack_sam_loss(pred, target):
+    p, t = as_var(pred), constant(target)
+    u, v, sa, degenerate = _stack_geometry(p.value, t)
+    dq = np.sqrt(((u - v) * (u - v)).sum(axis=1, keepdims=True))
+    dp = np.sqrt(((u + v) * (u + v)).sum(axis=1, keepdims=True))
+    theta = 2.0 * np.arctan2(dq, dp)
+    cos = (u * v).sum(axis=1, keepdims=True)
+    resid = v - cos * u
+    rnorm = np.sqrt((resid * resid).sum(axis=1, keepdims=True))
+    turning = rnorm > 1e-12
+    np.divide(resid, rnorm, out=resid, where=turning)
+    np.copyto(resid, 0.0, where=~turning)
+    ga = -resid / sa
+    np.copyto(ga, 0.0, where=degenerate)
+    return record(np.asarray(theta.mean()), (p,), lambda g: ((g / theta.size) * ga,))
+
+
+def stack_cos_loss(pred, target):
+    p, t = as_var(pred), constant(target)
+    u, v, sa, degenerate = _stack_geometry(p.value, t)
+    cos = np.where(degenerate, 0.0, 1.0 - 0.5 * ((u - v) ** 2).sum(axis=1, keepdims=True))
+
+    def vjp(g):
+        ga = np.where(degenerate, 0.0, (v - cos * u) / sa)
+        return (-(g / cos.size) * ga,)
+
+    return record(np.asarray(1.0 - cos.mean()), (p,), vjp)
+
+
+def stack_grad_loss(pred, target):
+    p, t = as_var(pred), constant(target)
+    a = p.value
+    pairs = ((np.s_[:, :, 1:, :], np.s_[:, :, :-1, :]), (np.s_[:, :, :, 1:], np.s_[:, :, :, :-1]))
+    resid = [(a[hi] - a[lo]) - (t[hi] - t[lo]) for hi, lo in pairs]
+    n = sum(r.size for r in resid)
+    signs = [_sign8(r) for r in resid]
+    val = np.asarray((np.abs(resid[0]).sum() + np.abs(resid[1]).sum()) / n)
+
+    def vjp(g):
+        ga = np.zeros(a.shape, dtype=a.dtype)
+        for sgn, (hi, lo) in zip(signs, pairs):
+            term = g * sgn / n
+            ga[hi] += term
+            ga[lo] -= term
+        return (ga,)
+
+    return record(val, (p,), vjp)
+
+
+def stack_h_loss(pred, target, weights=LossWeights()):
+    total = stack_l1_loss(pred, target)
+    total = ops.add(total, ops.scale(stack_sam_loss(pred, target), weights.lam1))
+    return ops.add(total, ops.scale(stack_grad_loss(pred, target), weights.lam2))
+
+
+def stack_kd_loss(pred, target, weights=LossWeights()):
+    total = ops.scale(stack_cos_loss(pred, target), weights.lam3)
+    total = ops.add(total, ops.scale(stack_sam_loss(pred, target), weights.lam4))
+    return ops.add(total, ops.scale(stack_grad_loss(pred, target), weights.lam5))
+
+
+def tap_loop_depthwise_vjp(x, weight, dilation, g):
+    """(gx, gw) of a depthwise conv: each tap's product added into an NCHW
+    gx, and each tap's weight gradient an einsum."""
+    c, k = weight.shape[0], weight.shape[-1]
+    w2 = weight.reshape(c, k, k)
+    gx = np.zeros(x.shape, dtype=np.result_type(g, weight))
+    gw = np.zeros(w2.shape, dtype=np.result_type(g, x))
+    for i, j, dst, src in ops._taps(k, dilation, *x.shape[2:]):
+        go = g[dst]
+        gx[src] += w2[:, i, j, None, None] * go
+        gw[:, i, j] = np.einsum("nchw,nchw->c", go, x[src])
+    return gx, gw.reshape(weight.shape)
 
 
 def graph_nodes(root):

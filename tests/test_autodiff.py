@@ -52,6 +52,19 @@ class TestGraph:
         assert x.grad is not None
         assert unused.grad is None
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_an_array_handed_to_two_parents_is_never_added_into(self, swap):
+        # s's gradient is a sum backward allocated (s is read twice), and
+        # add's VJP hands that one array to both x and y. x then receives
+        # 3 more from scale; y's gradient must stay 2, whichever branch
+        # backward reaches first.
+        x, y = Var(np.array([1.0])), Var(np.array([2.0]))
+        s = add(x, y)
+        twice, thrice = add(s, s), scale(x, 3.0)
+        backward(add(thrice, twice) if swap else add(twice, thrice))
+        assert np.array_equal(x.grad, [5.0])
+        assert np.array_equal(y.grad, [2.0])
+
     def test_backward_releases_the_graph(self, monkeypatch):
         # The im2col buffer of a 3x3 conv is held only by the conv's VJP
         # closure, so it must die once backward has run that VJP.

@@ -2,7 +2,20 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import grad_check, loop_cos, loop_grad, loop_l1, loop_sam, sign_loss_grads
+from oracles import (
+    grad_check,
+    loop_cos,
+    loop_grad,
+    loop_l1,
+    loop_sam,
+    sign_loss_grads,
+    stack_cos_loss,
+    stack_grad_loss,
+    stack_h_loss,
+    stack_kd_loss,
+    stack_l1_loss,
+    stack_sam_loss,
+)
 
 from lkcanet.autodiff import Var, backward
 from lkcanet.losses import (
@@ -220,3 +233,65 @@ class TestFloat32:
                 value = loss(p, t)
                 backward(value)
             assert np.isnan(value.value)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _stack_inputs(case, pred_dtype, target_dtype, shape):
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal(shape) + 0.5
+    t = rng.standard_normal(shape) + 0.5
+    if case == "zero_norm":
+        a[0, :, 1, 2] = 0.0
+        t[-1, :, 3, 4] = 0.0
+        a[-1, :, 0, 0] = t[-1, :, 0, 0] = 0.0
+        # Orthogonal spectra whose every band product is -0.0: a sum begun
+        # from the first product, not from +0.0, flips a zero's sign in the
+        # angle's gradient.
+        a[0, :, 2, 1], t[0, :, 2, 1] = 0.0, -0.0
+        a[0, 0, 2, 1], t[0, 1, 2, 1] = 1.0, -1.0
+    elif case == "identical":
+        t[:, :, :2] = a[:, :, :2]
+    elif case == "nan":
+        a[0, 1, 2, 2] = np.nan
+    a = a.astype(pred_dtype)
+    return a, (a.astype(target_dtype) if case == "identical" else t.astype(target_dtype))
+
+
+class TestBandSums:
+    """The losses sum over bands one band at a time and build no band stack
+    beyond what their VJPs keep. Values and gradients equal the whole-stack
+    formulas bit for bit."""
+
+    @pytest.mark.parametrize(
+        "loss,reference",
+        [
+            (l1_loss, stack_l1_loss),
+            (sam_loss, stack_sam_loss),
+            (grad_loss, stack_grad_loss),
+            (cos_loss, stack_cos_loss),
+            (h_loss, stack_h_loss),
+            (kd_loss, stack_kd_loss),
+        ],
+        ids=["l1", "sam", "grad", "cos", "h", "kd"],
+    )
+    @pytest.mark.parametrize("case", ["random", "zero_norm", "identical", "nan"])
+    @pytest.mark.parametrize(
+        "dtypes", [(np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float32)],
+        ids=["f32", "f64_target", "f64_pred"],
+    )
+    @pytest.mark.parametrize("shape", [(2, 7, 5, 6), (1, 32, 16, 16)], ids=["small", "32_bands"])
+    def test_value_and_gradient_equal_the_stack_formulas(self, loss, reference, case, dtypes, shape):
+        a, t = _stack_inputs(case, *dtypes, shape)
+        results = []
+        with np.errstate(invalid="ignore"):
+            for fn in (loss, reference):
+                p = Var(a.copy())
+                value = fn(p, t)
+                backward(value)
+                results.append((_bits(value.value), _bits(p.grad)))
+        assert results[0][0] == results[1][0], "loss values differ"
+        assert results[0][1] == results[1][1], "gradients differ"

@@ -184,6 +184,28 @@ class TestForward:
         for name, g in grads[0].items():
             assert g is not None and np.array_equal(g, grads[1][name]), name
 
+    def test_array_input_builds_no_input_gradient(self, monkeypatch):
+        # The head conv of a forward on an array reads it as data, so no
+        # _col2im of the input's shape runs; a Var input still gets its
+        # gradient.
+        scattered = []
+        col2im = ops._col2im
+
+        def spy(cols, x_shape, k, dilation):
+            scattered.append(tuple(x_shape))
+            return col2im(cols, x_shape, k, dilation)
+
+        monkeypatch.setattr(ops, "_col2im", spy)
+        model = LkcaNet(toy_config(), seed=7)
+        rng = np.random.default_rng(9)
+        x = rng.random((2, 4, 6, 6), dtype=np.float32)
+        y = rng.random((2, 4, 12, 12), dtype=np.float32)
+        backward(h_loss(model.forward(x, training=True)[0], y))
+        assert scattered and x.shape not in scattered
+        v = Var(x)
+        backward(h_loss(model.forward(v, training=True)[0], y))
+        assert x.shape in scattered and v.grad is not None
+
     def test_predict_holds_two_outputs(self):
         # The pre-shuffle map is freed before the skip is built and the sum
         # is written into the skip, so at most two SR-sized arrays coexist.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grad_check, project_scalar
+from oracles import grad_check, project_scalar, tap_loop_depthwise_vjp
 
 from lkcanet import ops
 from lkcanet.autodiff import Var, backward, no_grad, record
@@ -194,6 +194,50 @@ class TestDepthwiseChunks:
         finally:
             tracemalloc.stop()
         assert peak <= out.value.nbytes + 16 * 2**20
+
+
+class TestDepthwiseVjp:
+    # (x shape, k, dilation): batch 1 with odd sizes, where the taps at
+    # offset +-9 lie wholly in the padding; a map narrower than the kernel's
+    # extent; the training shapes' k5/d5; a 3x3.
+    CASES = {
+        "n1-odd-k7-d3": ((1, 5, 9, 7), 7, 3),
+        "k7-d2-5x7": ((2, 3, 5, 7), 7, 2),
+        "k5-d5-16x16": ((3, 4, 16, 16), 5, 5),
+        "k3-d1-11x13": ((2, 6, 11, 13), 3, 1),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_channels_first_tap_loop(self, case, dtype):
+        shape, k, d = self.CASES[case]
+        rng = np.random.default_rng(17)
+        x, g = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        w = rng.standard_normal((shape[1], 1, k, k)).astype(dtype)
+        gx, gw = ops._depthwise_conv(x, w, d, True)[1](g)
+        want_gx, want_gw = tap_loop_depthwise_vjp(x, w, d, g)
+        assert gx.flags.c_contiguous
+        for got, want in ((gx, want_gx), (gw, want_gw)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestDataInput:
+    @pytest.mark.parametrize("case", ["grouped3x3-d2", "depthwise-k5-d5-16x16", "dense1x1"])
+    def test_array_input_gets_no_gradient_and_the_same_weight_gradients(self, case):
+        # A plain array is data: its conv's VJP builds no input gradient, and
+        # the weight and bias gradients equal those of a Var input.
+        x_shape, w_shape, _, dilation, groups = CONV_CASES[case]
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        b = rng.standard_normal(w_shape[0]).astype(np.float32)
+        grads = []
+        for given in (x, Var(x)):
+            out = ops.conv2d(given, Var(w), Var(b), dilation=dilation, groups=groups)
+            grads.append(out._vjp(np.ones_like(out.value)))
+        assert grads[0][0] is None and grads[1][0] is not None
+        for got, want in zip(grads[0][1:], grads[1][1:]):
+            assert np.array_equal(got, want)
 
 
 class TestLayerNorm:

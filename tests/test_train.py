@@ -263,9 +263,10 @@ class TestTrainingTape:
 
     def test_step_peak_above_the_tape(self, monkeypatch):
         # Above what the VJPs keep, a step peaks in the loss's forward and
-        # backward with a few arrays of the reconstruction's size: 3.7
-        # reconstructions at this shape. Keeping every interior value and
-        # float sign arrays made it 7.3.
+        # backward with a few arrays of the reconstruction's size: 3.2
+        # reconstructions at this shape. Band stacks in the angle loss and
+        # new arrays for every gradient sum made it 3.8; keeping every
+        # interior value and float sign arrays, 7.3.
         seen = {}
         student = LkcaNet(probe_config(drop_path_rate=0.1), seed=0)
 
@@ -288,7 +289,7 @@ class TestTrainingTape:
         finally:
             tracemalloc.stop()
         above = (seen["peak"] - seen["tape"]) / sr
-        assert above <= 5.5, f"the step peaks {above:.2f} reconstructions above its tape"
+        assert above <= 3.6, f"the step peaks {above:.2f} reconstructions above its tape"
 
 
 class TestDistill:
