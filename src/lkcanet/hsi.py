@@ -11,6 +11,7 @@ read round trip is bit-exact.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import os
@@ -104,7 +105,12 @@ class HsiCube:
                 f"crop ({row},{col},{height},{width}) is empty or exceeds cube extent "
                 f"{self.height}x{self.width}"
             )
-        return HsiCube(self.data[:, row : row + height, col : col + width], dict(self.meta))
+        # A copy skips __post_init__: a window of a validated cube is valid,
+        # so its samples are not scanned again.
+        window = copy.copy(self)
+        window.data = self.data[:, row : row + height, col : col + width]
+        window.meta = dict(self.meta)
+        return window
 
 
 def normalize(raw: np.ndarray, meta: dict | None = None) -> HsiCube:

@@ -9,15 +9,26 @@ from the call shapes:
 - 1x1, dense or grouped: one batched matmul on the input itself, whose
   backward reshapes instead of scattering;
 - depthwise (groups == in == out channels) with k > 1: the forward is an
-  im2col matmul, run one chunk of channels at a time so that the buffer
-  stays within a few MB and is dropped at once, and the backward is direct
-  shift-and-accumulate over the taps that overlap the image, keeping only
-  the input and the weights;
+  im2col matmul, and the backward is direct shift-and-accumulate over the
+  taps that overlap the image;
 - every other conv (dense and grouped 3x3, depth multipliers): a matmul on
-  an im2col buffer, which its backward keeps.
+  im2col buffers, whose backward rebuilds them from the input.
 
-im2col copies each tap's overlap with the image and never builds a padded
-copy; taps that lie wholly in the zero padding are skipped.
+One buffer rule holds for every conv with k > 1: its VJP keeps only the
+input and the weights, and every im2col buffer is built in chunks of at
+most ``_IM2COL_CHUNK_BYTES`` when it is needed and dropped at once. A dense
+or grouped conv builds the buffers of as many samples at once as fit, the
+whole batch when it can. Its forward splits a sample whose buffer alone is
+too large into bands of output rows; its weight gradient, a sum over every
+output position, takes that sample's whole buffer, and its input gradient
+scatters the whole batch's column gradient. A depthwise forward builds one
+sample's buffer at a time, in chunks of channels. A sample or channel
+chunk leaves every product as it was, so no result depends on it. A row
+band only partitions a product's columns; that leaves the bits alone under
+a BLAS kernel that computes a column the same way wherever it sits, as
+OpenBLAS's SkylakeX and Sandybridge sgemm kernels do, but not under its
+Haswell kernel. im2col copies each tap's overlap with the image and never
+builds a padded copy; taps that lie wholly in the zero padding are skipped.
 
 Every primitive carries an analytic backward, which the test suite checks
 against central finite differences.
@@ -29,6 +40,8 @@ sample's output is the same bits whichever batch it sits in.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import erf
 
@@ -36,11 +49,12 @@ from .autodiff import Var, as_var, record
 
 _SQRT1_2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-# Largest im2col buffer one depthwise forward builds at once. It holds every
-# depthwise conv of the probe config (4 x 16 x 49 x 16 x 16 float32 = 3.2 MB)
-# in one piece. On a 2-core Xeon, budgets from 1 to 16 MB ran a 64x64 k7 call
-# equally fast.
-_DEPTHWISE_CHUNK_BYTES = 4 << 20
+# Largest im2col buffer a conv's forward builds at once; the backward of a
+# dense or grouped conv also takes one whole sample's buffer. It holds every
+# depthwise conv of the probe config (16 x 49 x 16 x 16 float32 = 0.8 MB per
+# sample) in one piece. On a 2-core Xeon, budgets from 1 to 16 MB ran a 64x64
+# k7 depthwise call equally fast.
+_IM2COL_CHUNK_BYTES = 4 << 20
 # Added to the channel variance in layer_norm.
 _LN_EPS = 1e-6
 
@@ -121,7 +135,8 @@ def _overlap(offset: int, size: int):
     return slice(max(0, -offset), size - max(0, offset)), slice(max(0, offset), size + min(0, offset))
 
 
-def _taps(k: int, dilation: int, h: int, w: int) -> list:
+@functools.lru_cache(maxsize=64)
+def _taps(k: int, dilation: int, h: int, w: int) -> tuple:
     """Kernel taps that overlap an (H, W) map under "same" zero padding.
 
     Each entry is ``(i, j, dst, src)``: tap (i, j) adds input window ``src``
@@ -131,24 +146,31 @@ def _taps(k: int, dilation: int, h: int, w: int) -> list:
     pad = (k - 1) * dilation // 2
     rows = [_overlap(i * dilation - pad, h) for i in range(k)]
     cols = [_overlap(j * dilation - pad, w) for j in range(k)]
-    return [
+    return tuple(
         (i, j, (Ellipsis, r[0], c[0]), (Ellipsis, r[1], c[1]))
         for i, r in enumerate(rows) if r is not None
         for j, c in enumerate(cols) if c is not None
-    ]
+    )
 
 
-def _im2col(x: np.ndarray, k: int, dilation: int, groups: int) -> np.ndarray:
-    """Gather conv taps: (N, C, H, W) -> (N, g, (C/g)*k*k, H*W).
+def _im2col(
+    x: np.ndarray, k: int, dilation: int, groups: int, r0: int = 0, r1: int | None = None
+) -> np.ndarray:
+    """Gather the conv taps of output rows [r0, r1), all rows by default:
+    (N, C, H, W) -> (N, g, (C/g)*k*k, (r1-r0)*W).
 
     Each tap copies only the window where it overlaps the image; the rest of
     the buffer is the zero padding.
     """
     n, cin, h, w = x.shape
-    cols = np.zeros((n, cin, k, k, h, w), dtype=x.dtype)
-    for i, j, dst, src in _taps(k, dilation, h, w):
-        cols[:, :, i, j][dst] = x[src]
-    return cols.reshape(n, groups, (cin // groups) * k * k, h * w)
+    r1 = h if r1 is None else r1
+    cols = np.zeros((n, cin, k, k, r1 - r0, w), dtype=x.dtype)
+    for i, j, (_, dy, dx), (_, sy, sx) in _taps(k, dilation, h, w):
+        lo, hi = max(dy.start, r0), min(dy.stop, r1)
+        if lo < hi:
+            shift = sy.start - dy.start
+            cols[:, :, i, j, lo - r0 : hi - r0, dx] = x[:, :, lo + shift : hi + shift, sx]
+    return cols.reshape(n, groups, (cin // groups) * k * k, (r1 - r0) * w)
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, dilation: int) -> np.ndarray:
@@ -164,34 +186,54 @@ def _col2im(cols: np.ndarray, x_shape, k: int, dilation: int) -> np.ndarray:
 def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, need_gx: bool = True):
     """Dense and grouped convs as one batched matmul per group.
 
-    A 1x1 conv multiplies the input itself, reshaped; larger kernels go
-    through the im2col buffer, which the VJP keeps. Returns (out, vjp)
-    where ``vjp(g)`` gives (gx, gw), with gx None unless ``need_gx``.
+    A 1x1 conv multiplies the input itself, reshaped. A larger kernel
+    multiplies im2col buffers built in chunks of at most
+    ``_IM2COL_CHUNK_BYTES`` (see the module docstring), and its VJP keeps
+    the input and rebuilds them. Returns (out, vjp) where ``vjp(g)`` gives
+    (gx, gw), with gx None unless ``need_gx``.
     """
     n, cin, h, w = xv.shape
     cout, _, k, _ = wv.shape
-    if k == 1:
-        cols = xv.reshape(n, groups, cin // groups, h * w)
-    else:
-        cols = _im2col(xv, k, dilation, groups)  # (n, g, cg*k*k, h*w)
     wmat = wv.reshape(groups, cout // groups, -1)
-    out = np.matmul(wmat, cols).reshape(n, cout, h, w)
-    x_shape = xv.shape  # beyond a 1x1's reshape of it, the VJP needs no input
+    if k == 1:
+        rows, step = h, n
+    else:
+        per_row = cin * k * k * w * xv.itemsize  # one output row of one sample
+        bands = -(-h // max(1, _IM2COL_CHUNK_BYTES // per_row))
+        # Bands of near-equal height: a thin last band would be a small
+        # GEMM, which OpenBLAS may route to a kernel that rounds differently.
+        rows = -(-h // bands)
+        step = max(1, _IM2COL_CHUNK_BYTES // (rows * per_row))  # 1 when bands > 1
+
+    def columns(s0, r0=0, r1=h):
+        xs = xv[s0 : s0 + step]
+        if k == 1:
+            return xs.reshape(len(xs), groups, cin // groups, h * w)
+        return _im2col(xs, k, dilation, groups, r0, r1)
+
+    out = np.empty((n, cout, h, w), np.result_type(xv, wv))
+    out_cols = out.reshape(n, groups, cout // groups, h * w)
+    for s0 in range(0, n, step):
+        for r0 in range(0, h, rows):
+            r1 = min(h, r0 + rows)
+            np.matmul(wmat, columns(s0, r0, r1), out=out_cols[s0 : s0 + step, ..., r0 * w : r1 * w])
 
     def vjp(g):
         go = g.reshape(n, groups, cout // groups, h * w)
         # The samples' products are added from zero one at a time: the
         # stacked product's .sum(axis=0), without the stack.
-        gw = np.zeros((groups, cout // groups, cols.shape[2]), np.result_type(go, cols))
-        for s in range(n):
-            gw += go[s] @ cols[s].swapaxes(-1, -2)
+        gw = np.zeros(wmat.shape, np.result_type(go, xv))
+        for s0 in range(0, n, step):
+            for s, cols in enumerate(columns(s0), s0):
+                gw += go[s] @ cols.swapaxes(-1, -2)
+            del cols  # the chunk dies before the next is built
         gw = gw.reshape(wv.shape)
         if not need_gx:
             return None, gw
         gcols = np.matmul(wmat.swapaxes(-1, -2), go)
         if k == 1:
-            return gcols.reshape(x_shape), gw
-        return _col2im(gcols, x_shape, k, dilation), gw
+            return gcols.reshape(xv.shape), gw
+        return _col2im(gcols, xv.shape, k, dilation), gw
 
     return out, vjp
 
@@ -200,8 +242,8 @@ def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool
     """Depthwise conv, one k x k filter per channel.
 
     The forward is the im2col matmul of :func:`_matmul_conv`, run on one
-    chunk of channels at a time so that no im2col buffer exceeds
-    ``_DEPTHWISE_CHUNK_BYTES``; a call whose whole buffer fits is one chunk.
+    sample's chunk of channels at a time so that no im2col buffer exceeds
+    ``_IM2COL_CHUNK_BYTES``; a sample whose whole buffer fits is one chunk.
     Every (sample, channel) matmul keeps its shape, so the output does not
     depend on the chunking. It stays a matmul, not shift-and-accumulate,
     because training amplifies any change in its rounding: Adam's first
@@ -214,13 +256,15 @@ def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool
     n, c, h, w = xv.shape
     k = wv.shape[-1]
     w2 = wv.reshape(c, k, k)
-    step = max(1, _DEPTHWISE_CHUNK_BYTES // (n * k * k * h * w * xv.itemsize))
+    step = max(1, _IM2COL_CHUNK_BYTES // (k * k * h * w * xv.itemsize))
     out = np.empty(xv.shape, dtype=np.result_type(xv, wv))
     out_rows, wmat = out.reshape(n, c, 1, h * w), wv.reshape(c, 1, k * k)
-    for c0 in range(0, c, step):
-        xs = xv[:, c0 : c0 + step]
-        cols = _im2col(xs, k, dilation, xs.shape[1])  # (n, chunk, k*k, h*w)
-        np.matmul(wmat[c0 : c0 + step], cols, out=out_rows[:, c0 : c0 + step])
+    for s in range(n):
+        for c0 in range(0, c, step):
+            xs = xv[s : s + 1, c0 : c0 + step]
+            # (1, chunk, k*k, h*w), unnamed so that it dies before the next
+            np.matmul(wmat[c0 : c0 + step], _im2col(xs, k, dilation, xs.shape[1]),
+                      out=out_rows[s : s + 1, c0 : c0 + step])
     taps = _taps(k, dilation, h, w)
 
     def vjp(g):

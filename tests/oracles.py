@@ -517,6 +517,32 @@ def tap_loop_depthwise_vjp(x, weight, dilation, g):
     return gx, gw.reshape(weight.shape)
 
 
+def whole_buffer_conv(x, weight, dilation, groups, g):
+    """(out, gx, gw) of a stride-1 "same" conv with upstream gradient g: one
+    batched matmul per group on the whole batch's im2col buffer, the weight
+    gradient summed one sample at a time, and the input gradient scattered
+    into a zero-padded copy."""
+    n, cin, h, w = x.shape
+    cout, _, k, _ = weight.shape
+    pad = (k - 1) * dilation // 2
+    windows = [np.s_[:, :, i * dilation : i * dilation + h, j * dilation : j * dilation + w]
+               for i in range(k) for j in range(k)]
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.stack([padded[win] for win in windows], axis=2)  # (n, cin, k*k, h, w)
+    cols = cols.reshape(n, groups, (cin // groups) * k * k, h * w)
+    wmat = weight.reshape(groups, cout // groups, -1)
+    out = np.matmul(wmat, cols).reshape(n, cout, h, w)
+    go = g.reshape(n, groups, cout // groups, h * w)
+    gw = np.zeros(wmat.shape, np.result_type(go, cols))
+    for s in range(n):
+        gw += go[s] @ cols[s].swapaxes(-1, -2)
+    gcols = np.matmul(wmat.swapaxes(-1, -2), go).reshape(n, cin, k * k, h, w)
+    gx = np.zeros(padded.shape, gcols.dtype)
+    for t, win in enumerate(windows):
+        gx[win] += gcols[:, :, t]
+    return out, gx[:, :, pad : pad + h, pad : pad + w], gw.reshape(weight.shape)
+
+
 def graph_nodes(root):
     """Every graph node reachable from the Var ``root`` through recorded
     parents."""

@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import project_scalar
+from oracles import buffer_of, graph_nodes, project_scalar, vjp_buffers
 
 from lkcanet import ops
 from lkcanet.autodiff import Var, backward, no_grad, record
@@ -65,31 +65,36 @@ class TestGraph:
         assert np.array_equal(x.grad, [5.0])
         assert np.array_equal(y.grad, [2.0])
 
-    def test_backward_releases_the_graph(self, monkeypatch):
-        # The im2col buffer of a 3x3 conv is held only by the conv's VJP
-        # closure, so it must die once backward has run that VJP.
-        buffers = []
-        im2col = ops._im2col
-
-        def spy(*args):
-            cols = im2col(*args)
-            buffers.append(weakref.ref(cols))
-            return cols
-
-        monkeypatch.setattr(ops, "_im2col", spy)
+    def test_backward_releases_the_graph(self):
+        # Once the test drops h's Var, h's array is held only by the 3x3
+        # conv's VJP closure, so it must die once backward has run that VJP.
         rng = np.random.default_rng(0)
         x = Var(rng.standard_normal((1, 2, 4, 4)))
         w = Var(rng.standard_normal((3, 2, 3, 3)))
-        out = ops.conv2d(x, w)
+        h = scale(x, 2.0)
+        held = weakref.ref(h.value)
+        out = ops.conv2d(h, w)
+        del h
         loss = project_scalar(out, np.ones_like(out.value))
-        assert buffers[0]() is not None
+        assert held() is not None
         backward(loss)
         for node in (out, loss):
             assert node._node.parents == ()
             assert node._vjp is None
             assert node.grad is None
-        assert buffers[0]() is None
+        assert held() is None
         assert x.grad is not None and w.grad is not None
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_dense_vjp_keeps_only_its_input(self, groups):
+        # A dense or grouped 3x3 conv's VJP keeps its input and weights and
+        # rebuilds the im2col buffer, nine times the input, when it runs.
+        rng = np.random.default_rng(1)
+        x = Var(rng.standard_normal((2, 4, 6, 6)))
+        w = Var(rng.standard_normal((6, 4 // groups, 3, 3)))
+        out = ops.conv2d(x, w, groups=groups)
+        kept = vjp_buffers(graph_nodes(out))
+        assert set(kept) == {id(buffer_of(x.value)), id(buffer_of(w.value))}
 
 
 class TestLifetime:

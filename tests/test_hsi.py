@@ -439,6 +439,19 @@ class TestProtocols:
         with pytest.raises(CubeValidationError, match="empty"):
             random_cube(1, 16, 16).crop(4, 4, *extent)
 
+    def test_crop_does_not_validate_again(self, monkeypatch):
+        # A window of a validated cube is valid, so crop checks only its
+        # extent and never scans the samples again.
+        cube = random_cube(2, 16, 16)
+        calls = []
+        monkeypatch.setattr(HsiCube, "validate", lambda self: calls.append(self))
+        view = cube.crop(4, 4, 8, 8)
+        assert view.shape == (2, 8, 8) and np.shares_memory(view.data, cube.data)
+        for window in [(0, 0, 0, 8), (10, 4, 8, 8), (4, -1, 8, 8)]:
+            with pytest.raises(CubeValidationError, match="empty or exceeds"):
+                cube.crop(*window)
+        assert calls == []
+
 
 class TestBuildSplit:
     def _toy(self):

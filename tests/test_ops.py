@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grad_check, project_scalar, tap_loop_depthwise_vjp
+from oracles import grad_check, project_scalar, tap_loop_depthwise_vjp, whole_buffer_conv
 
 from lkcanet import ops
 from lkcanet.autodiff import Var, backward, no_grad, record
@@ -167,17 +167,17 @@ class TestConv2d:
 
 class TestDepthwiseChunks:
     def test_chunked_forward_equals_whole_buffer(self):
-        # Enough channels for at least three chunks; at dilation 7 on a 16x16
-        # map the outer taps lie wholly or partly in the padding.
+        # Enough channels for at least three chunks per sample; at dilation
+        # 7 on a 16x16 map the outer taps lie wholly or partly in the padding.
         n, k, d, h = 2, 7, 7, 16
-        per_channel = n * k * k * h * h * np.dtype(np.float32).itemsize
-        step = ops._DEPTHWISE_CHUNK_BYTES // per_channel
+        per_channel = k * k * h * h * np.dtype(np.float32).itemsize
+        step = ops._IM2COL_CHUNK_BYTES // per_channel
         c = 3 * step + 1
         assert 1 <= step and -(-c // step) >= 3
         rng = np.random.default_rng(0)
         x = rng.standard_normal((n, c, h, h)).astype(np.float32)
         w = rng.standard_normal((c, 1, k, k)).astype(np.float32)
-        whole, _ = ops._matmul_conv(x, w, d, groups=c)
+        whole = whole_buffer_conv(x, w, d, c, np.zeros_like(x))[0]
         out = ops.conv2d(x, w, dilation=d, groups=c).value
         assert out.dtype == whole.dtype
         assert np.array_equal(out, whole)
@@ -194,6 +194,71 @@ class TestDepthwiseChunks:
         finally:
             tracemalloc.stop()
         assert peak <= out.value.nbytes + 16 * 2**20
+
+
+class TestMatmulConvChunks:
+    """Chunked dense and grouped convs against one matmul on the whole
+    batch's im2col buffer, at the real chunk budget."""
+
+    # (x shape, weight shape, dilation, groups). A sample chunk holds as
+    # many samples as fit, so in float32 the batches of 5 run in chunks of
+    # 3 and 2 (dense) and of 4 and 1 (grouped); a dense 3x3, a grouped
+    # g = 8 upsampler and a dilated conv each split one sample into row
+    # bands, of 25 and 24 rows for the 49-row map.
+    SAMPLE_CASES = {
+        "dense": ((5, 64, 24, 24), (32, 64, 3, 3), 1, 1),
+        "grouped8": ((5, 64, 20, 20), (128, 8, 3, 3), 2, 8),
+    }
+    BAND_CASES = {
+        "dense": ((2, 64, 49, 40), (48, 64, 3, 3), 1, 1),
+        "grouped8": ((1, 64, 52, 52), (256, 8, 3, 3), 1, 8),
+        "dilated": ((1, 64, 50, 50), (64, 64, 3, 3), 3, 1),
+    }
+
+    @staticmethod
+    def _check(case, dtype):
+        x_shape, w_shape, d, groups = case
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = rng.standard_normal(w_shape).astype(dtype)
+        g = rng.standard_normal((x_shape[0], w_shape[0], *x_shape[2:])).astype(dtype)
+        out, vjp = ops._matmul_conv(x, w, d, groups)
+        got = (out, *vjp(g))
+        for have, want in zip(got, whole_buffer_conv(x, w, d, groups, g)):
+            assert have.dtype == want.dtype and np.array_equal(have, want)
+        return x[0].nbytes * w_shape[-1] ** 2  # one sample's im2col buffer
+
+    @pytest.mark.parametrize("case", list(SAMPLE_CASES), ids=list(SAMPLE_CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_chunks_equal_the_whole_buffer(self, case, dtype):
+        # Every (sample, group) product is its own GEMM whatever the chunk,
+        # so this holds under every BLAS kernel.
+        n = self.SAMPLE_CASES[case][0][0]
+        per_sample = self._check(self.SAMPLE_CASES[case], dtype)
+        assert per_sample <= ops._IM2COL_CHUNK_BYTES < n * per_sample
+
+    @pytest.mark.parametrize("case", list(BAND_CASES), ids=list(BAND_CASES))
+    def test_row_bands_equal_the_whole_buffer(self, case):
+        # A band partitions the forward GEMM's columns. That leaves each
+        # column's bits alone only under a kernel that computes a column the
+        # same way wherever it sits in the product: OpenBLAS's Sandybridge
+        # and SkylakeX sgemm kernels do; its Haswell sgemm and SkylakeX
+        # dgemm kernels do not.
+        assert self._check(self.BAND_CASES[case], np.float32) > ops._IM2COL_CHUNK_BYTES
+
+    def test_forward_buffer_is_bounded(self):
+        # The whole buffer of this conv is 21 MB.
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((1, 64, 96, 96)).astype(np.float32)
+        w = rng.standard_normal((64, 64, 3, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = ops.conv2d(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.value.nbytes + ops._IM2COL_CHUNK_BYTES + 2**20
 
 
 class TestDepthwiseVjp:
