@@ -15,20 +15,17 @@ from the call shapes:
   im2col buffers, whose backward rebuilds them from the input.
 
 One buffer rule holds for every conv with k > 1: its VJP keeps only the
-input and the weights, and every im2col buffer is built in chunks of at
-most ``_IM2COL_CHUNK_BYTES`` when it is needed and dropped at once. A dense
-or grouped conv builds the buffers of as many samples at once as fit, the
-whole batch when it can. Its forward splits a sample whose buffer alone is
-too large into bands of output rows; its weight gradient, a sum over every
-output position, takes that sample's whole buffer, and its input gradient
-scatters the whole batch's column gradient. A depthwise forward builds one
-sample's buffer at a time, in chunks of channels. A sample or channel
-chunk leaves every product as it was, so no result depends on it. A row
-band only partitions a product's columns; that leaves the bits alone under
-a BLAS kernel that computes a column the same way wherever it sits, as
-OpenBLAS's SkylakeX and Sandybridge sgemm kernels do, but not under its
-Haswell kernel. im2col copies each tap's overlap with the image and never
-builds a padded copy; taps that lie wholly in the zero padding are skipped.
+input and the weights, and an im2col buffer is built when it is needed and
+dropped at once, in chunks of at most ``_IM2COL_CHUNK_BYTES``. A dense or
+grouped conv builds the buffers of as many samples at once as fit, the
+whole batch when it can, in its forward, its weight gradient and its input
+gradient alike; one sample whose buffer alone is larger is built whole, so
+that bound does not hold for it. A depthwise forward builds one sample's
+buffer at a time, in chunks of channels. Every (sample, group) and
+(sample, channel) product is its own GEMM whatever the chunk, so no result
+depends on the chunking, under any BLAS kernel. im2col copies each tap's
+overlap with the image and never builds a padded copy; taps that lie wholly
+in the zero padding are skipped.
 
 Every primitive carries an analytic backward, which the test suite checks
 against central finite differences.
@@ -49,11 +46,11 @@ from .autodiff import Var, as_var, record
 
 _SQRT1_2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-# Largest im2col buffer a conv's forward builds at once; the backward of a
-# dense or grouped conv also takes one whole sample's buffer. It holds every
-# depthwise conv of the probe config (16 x 49 x 16 x 16 float32 = 0.8 MB per
-# sample) in one piece. On a 2-core Xeon, budgets from 1 to 16 MB ran a 64x64
-# k7 depthwise call equally fast.
+# Largest im2col buffer a conv builds at once, unless one sample's buffer
+# of a dense or grouped conv is larger. It holds every depthwise conv of the
+# probe config (16 x 49 x 16 x 16 float32 = 0.8 MB per sample) in one
+# piece. On a 2-core Xeon, budgets from 1 to 16 MB ran a 64x64 k7 depthwise
+# call equally fast.
 _IM2COL_CHUNK_BYTES = 4 << 20
 # Added to the channel variance in layer_norm.
 _LN_EPS = 1e-6
@@ -153,24 +150,17 @@ def _taps(k: int, dilation: int, h: int, w: int) -> tuple:
     )
 
 
-def _im2col(
-    x: np.ndarray, k: int, dilation: int, groups: int, r0: int = 0, r1: int | None = None
-) -> np.ndarray:
-    """Gather the conv taps of output rows [r0, r1), all rows by default:
-    (N, C, H, W) -> (N, g, (C/g)*k*k, (r1-r0)*W).
+def _im2col(x: np.ndarray, k: int, dilation: int, groups: int) -> np.ndarray:
+    """Gather conv taps: (N, C, H, W) -> (N, g, (C/g)*k*k, H*W).
 
     Each tap copies only the window where it overlaps the image; the rest of
     the buffer is the zero padding.
     """
     n, cin, h, w = x.shape
-    r1 = h if r1 is None else r1
-    cols = np.zeros((n, cin, k, k, r1 - r0, w), dtype=x.dtype)
-    for i, j, (_, dy, dx), (_, sy, sx) in _taps(k, dilation, h, w):
-        lo, hi = max(dy.start, r0), min(dy.stop, r1)
-        if lo < hi:
-            shift = sy.start - dy.start
-            cols[:, :, i, j, lo - r0 : hi - r0, dx] = x[:, :, lo + shift : hi + shift, sx]
-    return cols.reshape(n, groups, (cin // groups) * k * k, (r1 - r0) * w)
+    cols = np.zeros((n, cin, k, k, h, w), dtype=x.dtype)
+    for i, j, dst, src in _taps(k, dilation, h, w):
+        cols[:, :, i, j][dst] = x[src]
+    return cols.reshape(n, groups, (cin // groups) * k * k, h * w)
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, dilation: int) -> np.ndarray:
@@ -187,36 +177,27 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, nee
     """Dense and grouped convs as one batched matmul per group.
 
     A 1x1 conv multiplies the input itself, reshaped. A larger kernel
-    multiplies im2col buffers built in chunks of at most
-    ``_IM2COL_CHUNK_BYTES`` (see the module docstring), and its VJP keeps
-    the input and rebuilds them. Returns (out, vjp) where ``vjp(g)`` gives
-    (gx, gw), with gx None unless ``need_gx``.
+    multiplies im2col buffers built a chunk of samples at a time (see the
+    module docstring), and its VJP keeps the input and rebuilds them.
+    Returns (out, vjp) where ``vjp(g)`` gives (gx, gw), with gx None unless
+    ``need_gx``.
     """
     n, cin, h, w = xv.shape
     cout, _, k, _ = wv.shape
     wmat = wv.reshape(groups, cout // groups, -1)
-    if k == 1:
-        rows, step = h, n
-    else:
-        per_row = cin * k * k * w * xv.itemsize  # one output row of one sample
-        bands = -(-h // max(1, _IM2COL_CHUNK_BYTES // per_row))
-        # Bands of near-equal height: a thin last band would be a small
-        # GEMM, which OpenBLAS may route to a kernel that rounds differently.
-        rows = -(-h // bands)
-        step = max(1, _IM2COL_CHUNK_BYTES // (rows * per_row))  # 1 when bands > 1
+    # Samples per chunk: as many as fit the budget, and at least one.
+    step = n if k == 1 else max(1, _IM2COL_CHUNK_BYTES // (cin * k * k * h * w * xv.itemsize))
 
-    def columns(s0, r0=0, r1=h):
+    def columns(s0):
         xs = xv[s0 : s0 + step]
         if k == 1:
             return xs.reshape(len(xs), groups, cin // groups, h * w)
-        return _im2col(xs, k, dilation, groups, r0, r1)
+        return _im2col(xs, k, dilation, groups)
 
     out = np.empty((n, cout, h, w), np.result_type(xv, wv))
     out_cols = out.reshape(n, groups, cout // groups, h * w)
     for s0 in range(0, n, step):
-        for r0 in range(0, h, rows):
-            r1 = min(h, r0 + rows)
-            np.matmul(wmat, columns(s0, r0, r1), out=out_cols[s0 : s0 + step, ..., r0 * w : r1 * w])
+        np.matmul(wmat, columns(s0), out=out_cols[s0 : s0 + step])
 
     def vjp(g):
         go = g.reshape(n, groups, cout // groups, h * w)
@@ -230,10 +211,13 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, nee
         gw = gw.reshape(wv.shape)
         if not need_gx:
             return None, gw
-        gcols = np.matmul(wmat.swapaxes(-1, -2), go)
+        wt = wmat.swapaxes(-1, -2)
         if k == 1:
-            return gcols.reshape(xv.shape), gw
-        return _col2im(gcols, xv.shape, k, dilation), gw
+            return np.matmul(wt, go).reshape(xv.shape), gw
+        # Each chunk's column gradient is scattered before the next is built.
+        gx = [_col2im(np.matmul(wt, go[s0 : s0 + step]), xv[s0 : s0 + step].shape, k, dilation)
+              for s0 in range(0, n, step)]
+        return (gx[0] if len(gx) == 1 else np.concatenate(gx)), gw
 
     return out, vjp
 

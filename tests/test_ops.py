@@ -182,42 +182,31 @@ class TestDepthwiseChunks:
         assert out.dtype == whole.dtype
         assert np.array_equal(out, whole)
 
-    def test_forward_buffer_is_bounded(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 64, 96, 96)).astype(np.float32)
-        w = rng.standard_normal((64, 1, 7, 7)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            with no_grad():
-                out = ops.conv2d(x, w, dilation=3, groups=64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.value.nbytes + 16 * 2**20
-
 
 class TestMatmulConvChunks:
     """Chunked dense and grouped convs against one matmul on the whole
     batch's im2col buffer, at the real chunk budget."""
 
-    # (x shape, weight shape, dilation, groups). A sample chunk holds as
-    # many samples as fit, so in float32 the batches of 5 run in chunks of
-    # 3 and 2 (dense) and of 4 and 1 (grouped); a dense 3x3, a grouped
-    # g = 8 upsampler and a dilated conv each split one sample into row
-    # bands, of 25 and 24 rows for the 49-row map.
-    SAMPLE_CASES = {
+    # (x shape, weight shape, dilation, groups). A chunk holds as many
+    # samples as fit, so in float32 the batches of 5 run in chunks of 3 and
+    # 2 (dense) and of 4 and 1 (grouped); one sample of each "big" case has
+    # a buffer larger than the budget, so each of its samples is a chunk.
+    CASES = {
         "dense": ((5, 64, 24, 24), (32, 64, 3, 3), 1, 1),
         "grouped8": ((5, 64, 20, 20), (128, 8, 3, 3), 2, 8),
-    }
-    BAND_CASES = {
-        "dense": ((2, 64, 49, 40), (48, 64, 3, 3), 1, 1),
-        "grouped8": ((1, 64, 52, 52), (256, 8, 3, 3), 1, 8),
-        "dilated": ((1, 64, 50, 50), (64, 64, 3, 3), 3, 1),
+        "dense-big": ((2, 64, 49, 40), (48, 64, 3, 3), 1, 1),
+        "grouped8-big": ((2, 64, 52, 52), (256, 8, 3, 3), 1, 8),
+        "dilated-big": ((2, 64, 50, 50), (64, 64, 3, 3), 3, 1),
     }
 
-    @staticmethod
-    def _check(case, dtype):
-        x_shape, w_shape, d, groups = case
+    @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_chunks_equal_the_whole_buffer(self, case, dtype):
+        # Every (sample, group) product is its own GEMM whatever the chunk,
+        # so this holds under every BLAS kernel.
+        x_shape, w_shape, d, groups = self.CASES[case]
+        # The whole float32 buffer is over the budget, so the conv is chunked.
+        assert np.prod(x_shape) * w_shape[-1] ** 2 * 4 > ops._IM2COL_CHUNK_BYTES
         rng = np.random.default_rng(23)
         x = rng.standard_normal(x_shape).astype(dtype)
         w = rng.standard_normal(w_shape).astype(dtype)
@@ -226,35 +215,27 @@ class TestMatmulConvChunks:
         got = (out, *vjp(g))
         for have, want in zip(got, whole_buffer_conv(x, w, d, groups, g)):
             assert have.dtype == want.dtype and np.array_equal(have, want)
-        return x[0].nbytes * w_shape[-1] ** 2  # one sample's im2col buffer
 
-    @pytest.mark.parametrize("case", list(SAMPLE_CASES), ids=list(SAMPLE_CASES))
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sample_chunks_equal_the_whole_buffer(self, case, dtype):
-        # Every (sample, group) product is its own GEMM whatever the chunk,
-        # so this holds under every BLAS kernel.
-        n = self.SAMPLE_CASES[case][0][0]
-        per_sample = self._check(self.SAMPLE_CASES[case], dtype)
-        assert per_sample <= ops._IM2COL_CHUNK_BYTES < n * per_sample
 
-    @pytest.mark.parametrize("case", list(BAND_CASES), ids=list(BAND_CASES))
-    def test_row_bands_equal_the_whole_buffer(self, case):
-        # A band partitions the forward GEMM's columns. That leaves each
-        # column's bits alone only under a kernel that computes a column the
-        # same way wherever it sits in the product: OpenBLAS's Sandybridge
-        # and SkylakeX sgemm kernels do; its Haswell sgemm and SkylakeX
-        # dgemm kernels do not.
-        assert self._check(self.BAND_CASES[case], np.float32) > ops._IM2COL_CHUNK_BYTES
+class TestIm2colBudget:
+    # (x shape, weight shape, dilation, groups): a depthwise k7 conv whose
+    # whole buffer is 116 MB, and a dense 3x3 whose batch's buffer is 11 MB
+    # and one sample's 2.7 MB.
+    CASES = {
+        "depthwise-k7-d3": ((1, 64, 96, 96), (64, 1, 7, 7), 3, 64),
+        "dense3x3": ((4, 32, 48, 48), (32, 32, 3, 3), 1, 1),
+    }
 
-    def test_forward_buffer_is_bounded(self):
-        # The whole buffer of this conv is 21 MB.
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((1, 64, 96, 96)).astype(np.float32)
-        w = rng.standard_normal((64, 64, 3, 3)).astype(np.float32)
+    @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
+    def test_forward_buffer_is_bounded(self, case):
+        x_shape, w_shape, d, groups = self.CASES[case]
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
         tracemalloc.start()
         try:
             with no_grad():
-                out = ops.conv2d(x, w)
+                out = ops.conv2d(x, w, dilation=d, groups=groups)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
