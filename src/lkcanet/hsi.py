@@ -5,8 +5,11 @@ A cube is a (bands, height, width) float32 array of samples normalized to
 
 On-disk container (``.hsc``): 8-byte magic ``HSCUBE01``, a little-endian
 uint32 header length, a UTF-8 JSON header ``{"bands", "height", "width",
-"meta"}``, then band-sequential little-endian float32 samples. The write ->
-read round trip is bit-exact.
+"meta"}``, then band-sequential little-endian float32 samples. The writer
+pads the header with trailing spaces so the payload starts at a multiple of
+64 bytes; the reader takes any offset. A read cube's samples are a
+read-only map of the file, and a write replaces the file, so a map of the
+old file stays readable. The write -> read round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ MAGIC = b"HSCUBE01"
 
 # Hard cap on declared payload size (bytes) so corrupt headers fail fast.
 _MAX_PAYLOAD = 1 << 40
+
+# A written payload starts at a multiple of this many bytes.
+_PAYLOAD_ALIGN = 64
 
 # Budget (bytes) for the largest float64 temporary of one resize chunk.
 _RESIZE_CHUNK_BYTES = 1 << 20
@@ -59,6 +65,7 @@ class HsiCube:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # A plain ndarray view, also of a read_cube map (an np.memmap).
         self.data = np.asarray(self.data)
         self.validate()
 
@@ -141,21 +148,48 @@ def normalize(raw: np.ndarray, meta: dict | None = None) -> HsiCube:
 
 
 def write_cube(cube: HsiCube, path) -> None:
+    """Write an ``.hsc`` cube from its array, with no copy of a contiguous
+    payload and at most one band's copy of a strided one.
+
+    The JSON header is padded with spaces so the payload starts at a
+    multiple of 64 bytes. The file is written under a temporary name in the
+    target's directory and renamed onto the target, so a reader that still
+    maps the old file keeps its samples (truncating a mapped file would
+    fault its next read), and a failed write leaves the target as it was.
+    """
     cube.validate()
     header = json.dumps(
         {"bands": cube.bands, "height": cube.height, "width": cube.width, "meta": cube.meta},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        # The array's own buffer, written with no bytes copy.
-        fh.write(np.ascontiguousarray(cube.data, dtype="<f4"))
+    header += b" " * (-(len(MAGIC) + 4 + len(header)) % _PAYLOAD_ALIGN)
+    path = os.path.realpath(path)  # a symlinked target keeps its link
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")  # the umask's permissions, unlike mkstemp's 0600
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            # A band at a time: a contiguous band is written from its own
+            # buffer, and a strided window (a crop) copies one band, not all.
+            for band in cube.data:
+                fh.write(np.ascontiguousarray(band, dtype="<f4"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_cube(path) -> HsiCube:
-    """Read an ``.hsc`` cube; the payload is read straight into its array."""
+    """Read an ``.hsc`` cube whose samples are a read-only map of its payload.
+
+    Every header and size check runs before the map is made; the payload
+    may start at any offset, as files written before payloads were aligned
+    do. The cube's pages are file-backed, so the kernel can drop and re-read
+    them, and the map holds one file descriptor until its last view is
+    dropped.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise CubeFormatError(f"{path}: not an HSC cube (bad magic)")
@@ -190,8 +224,8 @@ def read_cube(path) -> HsiCube:
             raise CubeTruncatedError(
                 f"{path}: trailing bytes after payload (expected {nbytes}, found {found})"
             )
-        data = np.fromfile(fh, dtype="<f4", count=bands * height * width)
-    return HsiCube(data.reshape(bands, height, width), meta)
+        data = np.memmap(fh, dtype="<f4", mode="r", offset=fh.tell(), shape=(bands, height, width))
+    return HsiCube(data, meta)
 
 
 # ---------------------------------------------------------------------------

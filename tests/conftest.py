@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import lkcanet
 from lkcanet.hsi import HsiCube, PatchPair, Split, degrade_array, resize_bands
 from lkcanet.model import NetConfig
 
@@ -52,3 +58,13 @@ def probe_config(**over):
     )
     base.update(over)
     return NetConfig(**base)
+
+
+def run_python(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    lkcanet. A signal that kills it (SIGBUS from reading a truncated map)
+    shows as a negative return code instead of ending the test session."""
+    path = [str(Path(lkcanet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)

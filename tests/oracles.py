@@ -26,9 +26,15 @@
 - ``UncachedTeacher``: a distillation teacher whose every step runs the
   whole ``teacher.forward`` of its batch, the reference a distillation on
   cached last-block features must equal.
+- ``legacy_cube_bytes`` and ``fromfile_cube``: an ``.hsc`` file as writers
+  before payload alignment laid it out (header unpadded), and the read
+  into memory that a mapped ``read_cube`` must equal, parsing the header
+  with ``struct`` and ``json`` alone.
 """
 
+import json
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -612,3 +618,23 @@ class UncachedTeacher:
 
     def upsample(self, f, x=None):
         return self.teacher.forward(f)
+
+
+def legacy_cube_bytes(data, meta=None):
+    """An ``.hsc`` file of float32 ``data`` whose payload follows the
+    unpadded JSON header, at any offset."""
+    bands, height, width = data.shape
+    header = json.dumps({"bands": bands, "height": height, "width": width, "meta": meta or {}},
+                        sort_keys=True).encode("utf-8")
+    return b"HSCUBE01" + struct.pack("<I", len(header)) + header + data.astype("<f4").tobytes()
+
+
+def fromfile_cube(path):
+    """(header, samples, payload offset) of an ``.hsc`` file; the samples are
+    read into memory with ``np.fromfile``."""
+    with open(path, "rb") as fh:
+        fh.seek(8)
+        (hlen,) = struct.unpack("<I", fh.read(4))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+        shape = (header["bands"], header["height"], header["width"])
+        return header, np.fromfile(fh, dtype="<f4").reshape(shape), 12 + hlen

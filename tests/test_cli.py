@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -9,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy
-from conftest import smooth_bands
+from conftest import run_python, smooth_bands
 from oracles import build_split
 
 from lkcanet import cli, hsi
@@ -209,6 +210,42 @@ def pavia_splits(tmp_path_factory):
     return splits
 
 
+# Prints how far load_split grows RssAnon, and the source cube's size.
+LOAD_SPLIT_RSS_ANON = """
+import json, sys
+from pathlib import Path
+from lkcanet.cli import load_split
+
+def rss_anon():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("RssAnon:"))
+
+before = rss_anon()
+split = load_split(sys.argv[1])
+grown = rss_anon() - before
+manifest = json.loads((Path(sys.argv[1]) / "split.json").read_text())
+print(grown, Path(manifest["cube_path"]).stat().st_size)
+"""
+
+# Prepares a split from its own test_0.hsc into its own directory, while a
+# read of that file is still mapped.
+PREPARE_INTO_OWN_SPLIT = """
+import sys
+from pathlib import Path
+import numpy as np
+from lkcanet.cli import main
+from lkcanet.hsi import read_cube
+test_0 = Path(sys.argv[1]) / "test_0.hsc"
+old = read_cube(test_0)
+samples = np.array(old.data)
+code = main(["prepare", "--cube", str(test_0), "--dataset", "custom", "--regions", "[[0, 0, 8, 16]]",
+             "--scale", "2", "--patch-size", "4", "--overlap", "2", "--out", sys.argv[1]])
+assert code == 0, code
+assert np.array_equal(old.data, samples), "the old map lost its samples"
+assert np.array_equal(read_cube(test_0).data, samples[:, :8, :16]), "test_0.hsc is not the new region"
+"""
+
+
 class TestLoadSplit:
     @pytest.mark.parametrize("content", ["[1]", '{"test_files": 5, "scale_factor": 2}'])
     @pytest.mark.parametrize("command", ["eval", "train"])
@@ -266,8 +303,10 @@ class TestLoadSplit:
         finally:
             tracemalloc.stop()
         assert split.train
-        # Beside what the split keeps: the cube once, and one resize chunk's work.
-        assert peak <= held + data.nbytes + 2 * hsi._RESIZE_CHUNK_BYTES
+        # The mapped source is file-backed: the split holds its LR patches,
+        # and beside them the load peaks at one resize chunk's work.
+        assert held <= 0.25 * data.nbytes, f"load_split held {held / data.nbytes:.2f}x the cube"
+        assert peak <= held + 2 * hsi._RESIZE_CHUNK_BYTES, f"load_split peaked at {peak / data.nbytes:.2f}x the cube"
 
     def test_loaded_split_holds_its_source_once(self, tmp_path):
         # The benchmark's train_wide shape: 32x224x192 at x4, one 64x64 test
@@ -285,14 +324,46 @@ class TestLoadSplit:
             tracemalloc.stop()
         assert len(split.train) + len(split.val) == 26 and len(split.test) == 1
         # Copies of the patches and a second read of the test region held
-        # 2.73x the cube and peaked at 3.97x.
-        assert peak <= 1.5 * data.nbytes, f"load_split peaked at {peak / data.nbytes:.2f}x the cube"
-        assert held <= 1.25 * data.nbytes, f"load_split held {held / data.nbytes:.2f}x the cube"
+        # 2.73x the cube and peaked at 3.97x; a cube read into memory held
+        # 1.16x. The mapped cube leaves the LR patches (0.16x).
+        assert held <= 0.25 * data.nbytes, f"load_split held {held / data.nbytes:.2f}x the cube"
+        assert peak <= held + 2 * hsi._RESIZE_CHUNK_BYTES, f"load_split peaked at {peak / data.nbytes:.2f}x the cube"
         views = [pair.hr for pair in split.train + split.val] + [region.data for region in split.test]
         source = views[0].base
         assert source.nbytes == data.nbytes
         assert all(v.base is source and np.shares_memory(v, source) for v in views)
         assert np.array_equal(split.test[0].data, data[:, :64, :64])
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RssAnon from /proc")
+    def test_loaded_split_keeps_its_source_out_of_anonymous_memory(self, tmp_path):
+        # A 64 MiB source whose samples read into memory grew RssAnon by more
+        # than the cube; mapped, they are file-backed pages.
+        data = np.random.default_rng(0).random((16, 1024, 1024), dtype=np.float32)
+        write_cube(HsiCube(data), tmp_path / "cube.hsc")
+        del data
+        assert run("prepare", "--cube", str(tmp_path / "cube.hsc"), "--dataset", "custom",
+                   "--regions", "[[0, 0, 128, 128]]", "--scale", "4", "--patch-size", "128",
+                   "--overlap", "0", "--out", str(tmp_path / "split")) == 0
+        done = run_python(LOAD_SPLIT_RSS_ANON, tmp_path / "split")
+        assert done.returncode == 0, done.stderr
+        grown, nbytes = map(int, done.stdout.split())
+        assert grown < nbytes / 2, f"RssAnon grew by {grown / nbytes:.2f}x the cube"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_dropped_splits_close_their_maps(self, workspace):
+        # Each live map of a cube holds a duplicate of its file descriptor.
+        assert load_split(workspace / "split").train
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(300):
+            assert load_split(workspace / "split").train
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_prepare_into_the_split_it_reads_from(self, workspace, tmp_path):
+        shutil.copytree(workspace / "split", tmp_path / "split")
+        done = run_python(PREPARE_INTO_OWN_SPLIT, tmp_path / "split")
+        assert done.returncode == 0, f"exit {done.returncode}: {done.stderr}"
 
     def test_train_and_distill_read_no_test_file(self, workspace, tmp_path):
         split = tmp_path / "split"

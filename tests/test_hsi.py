@@ -1,11 +1,14 @@
+import os
 import re
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_split, gather_resize
+from conftest import run_python
+from oracles import build_split, fromfile_cube, gather_resize, legacy_cube_bytes
 
 from lkcanet import hsi
 from lkcanet.hsi import (
@@ -143,6 +146,20 @@ class TestCubeFormat:
             tracemalloc.stop()
         assert peak <= 0.05 * cube.data.nbytes
 
+    def test_write_of_a_crop_copies_one_band(self, tmp_path):
+        # A crop is a strided view; its payload is gathered a band at a time.
+        cube = random_cube(16, 128, 128)
+        window = cube.crop(8, 8, 96, 96)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_cube(window, tmp_path / "x.hsc")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * window.data[0].nbytes, f"write peaked at {peak / window.data.nbytes:.2f}x the crop"
+        assert np.array_equal(read_cube(tmp_path / "x.hsc").data, window.data)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_sample_rejected(self, value):
         data = random_cube(2, 4, 4).data
@@ -192,6 +209,89 @@ class TestCubeFormat:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * raw.size * 4
+
+
+# Writes a cube onto the path of a cube it still maps, then checks both.
+OVERWRITE_MAPPED = """
+import sys
+import numpy as np
+from lkcanet.hsi import HsiCube, read_cube, write_cube
+path = sys.argv[1]
+data = np.random.default_rng(0).random((4, 64, 64), dtype=np.float32)
+write_cube(HsiCube(data), path)
+old = read_cube(path)
+write_cube(read_cube(path).crop(8, 16, 32, 24), path)
+assert np.array_equal(old.data, data), "the old map lost its samples"
+assert np.array_equal(read_cube(path).data, data[:, 8:40, 16:40]), "the new file is not the crop"
+"""
+
+
+class TestMappedCube:
+    def test_read_data_is_not_writeable(self, tmp_path):
+        write_cube(random_cube(2, 8, 8), tmp_path / "x.hsc")
+        cube = read_cube(tmp_path / "x.hsc")
+        assert type(cube.data) is np.ndarray and not cube.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cube.data[0, 0, 0] = 0.5
+
+    def test_read_equals_fromfile_bit_for_bit(self, tmp_path):
+        data = random_cube(5, 17, 23, seed=3).data
+        write_cube(HsiCube(data), tmp_path / "x.hsc")
+        mapped = read_cube(tmp_path / "x.hsc").data
+        _, read, _ = fromfile_cube(tmp_path / "x.hsc")
+        assert mapped.tobytes() == read.tobytes() == data.tobytes()
+
+    def test_legacy_odd_header_reads_back_and_degrades(self, tmp_path):
+        data = random_cube(3, 16, 24, seed=4).data
+        blob = legacy_cube_bytes(data, {"name": "legacy"})
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        assert hlen % 2 == 1 and (12 + hlen) % 4 != 0  # not even float32-aligned
+        (tmp_path / "x.hsc").write_bytes(blob)
+        cube = read_cube(tmp_path / "x.hsc")
+        assert cube.data.tobytes() == data.tobytes() and cube.meta == {"name": "legacy"}
+        assert degrade(cube, 4).data.tobytes() == degrade(HsiCube(data), 4).data.tobytes()
+
+    @pytest.mark.parametrize("name_len", range(0, 130, 7))
+    def test_payload_offset_is_64_aligned_and_header_parses(self, tmp_path, name_len):
+        cube = random_cube(2, 4, 4)
+        cube.meta["name"] = "n" * name_len
+        write_cube(cube, tmp_path / "x.hsc")
+        header, data, offset = fromfile_cube(tmp_path / "x.hsc")
+        assert offset % 64 == 0
+        assert header == {"bands": 2, "height": 4, "width": 4, "meta": cube.meta}
+        assert np.array_equal(data, cube.data)
+
+    def test_overwriting_a_mapped_cube_keeps_the_old_map(self, tmp_path):
+        done = run_python(OVERWRITE_MAPPED, tmp_path / "x.hsc")
+        assert done.returncode == 0, f"exit {done.returncode}: {done.stderr}"
+
+    def test_write_keeps_the_umask_and_leaves_no_temporary(self, tmp_path):
+        write_cube(random_cube(1, 2, 2), tmp_path / "x.hsc")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert os.stat(tmp_path / "x.hsc").st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["x.hsc"]
+
+    def test_write_through_a_symlink_keeps_the_link(self, tmp_path):
+        write_cube(random_cube(1, 2, 2), tmp_path / "real.hsc")
+        (tmp_path / "link.hsc").symlink_to(tmp_path / "real.hsc")
+        cube = random_cube(2, 4, 4, seed=6)
+        write_cube(cube, tmp_path / "link.hsc")
+        assert (tmp_path / "link.hsc").is_symlink()
+        assert np.array_equal(read_cube(tmp_path / "real.hsc").data, cube.data)
+
+    def test_failed_write_keeps_the_target(self, tmp_path, monkeypatch):
+        write_cube(random_cube(1, 2, 2), tmp_path / "x.hsc")
+        before = (tmp_path / "x.hsc").read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(hsi.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_cube(random_cube(1, 4, 4), tmp_path / "x.hsc")
+        assert (tmp_path / "x.hsc").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.hsc"]
 
 
 class TestBicubic:
