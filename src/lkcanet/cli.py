@@ -218,14 +218,39 @@ def _save_split(test: list, manifest: dict, out_dir: Path, cube_path: str) -> li
     return [out_dir / name for name in (*names, "split.json")]
 
 
+# The typed fields of a split.json: (type, nesting), where nesting 0 is one
+# value, 1 a list of values and 2 a list of pairs.
+_SPLIT_TYPES = {"cube_path": (str, 0), "test_files": (str, 1), "cube_shape": (int, 1), "crop_shape": (int, 1),
+                "scale_factor": (int, 0), "patch_size": (int, 0), "overlap": (int, 0),
+                "train_origins": (int, 2), "val_origins": (int, 2)}
+
+
+def _holds(value, kind: type, depth: int) -> bool:
+    if depth:
+        return isinstance(value, list) and all(_holds(v, kind, depth - 1) for v in value)
+    return type(value) is kind  # a bool is no int
+
+
+def _read_split(split_dir, keys: tuple) -> tuple[Path, dict]:
+    """A split directory's split.json: a JSON object that holds ``keys``, each
+    typed field of the right type."""
+    path = Path(split_dir) / "split.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not (isinstance(manifest, dict) and set(keys) <= manifest.keys()):
+        raise ValueError(f"{path}: must be a JSON object holding {', '.join(keys)}")
+    bad = [f"{key} (want {'integers' if kind is int else 'text'})" for key, (kind, depth) in _SPLIT_TYPES.items()
+           if key in manifest and not _holds(manifest[key], kind, depth)]
+    if bad:
+        raise ValueError(f"{path}: fields of the wrong type: {', '.join(bad)}")
+    return path, manifest
+
+
 def load_split(split_dir) -> "hsi.Split":
     """Rebuild a materialized split from a ``prepare`` output directory. Its
     source cube, after the recorded crop, must have the shape it was planned
     on; every HR patch and test region is a view of it."""
-    path = Path(split_dir) / "split.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    if not (isinstance(manifest, dict) and {"cube_path", "cube_shape", "test_regions"} <= manifest.keys()):
-        raise ValueError(f"{path}: must be a JSON object holding cube_path, cube_shape and test_regions")
+    _, manifest = _read_split(split_dir, ("cube_path", "cube_shape", "test_regions", "scale_factor", "patch_size",
+                                          "overlap", "train_origins", "val_origins"))
     regions = custom_protocol(manifest["test_regions"]).test_regions
     cube = read_cube(manifest["cube_path"])
     if manifest.get("crop_shape"):
@@ -405,12 +430,8 @@ def _cmd_approximate(ns) -> int:
 
 def _cmd_eval(ns) -> int:
     # The one reader of the test_<i>.hsc files; the source cube is not read.
-    path = Path(ns.split) / "split.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    files = manifest.get("test_files") if isinstance(manifest, dict) else None
-    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
-        raise ValueError(f"{path}: must be a JSON object whose test_files lists file names")
-    test = [read_cube(path.parent / name) for name in files]
+    path, manifest = _read_split(ns.split, ("test_files", "scale_factor"))
+    test = [read_cube(path.parent / name) for name in manifest["test_files"]]
     r = manifest["scale_factor"]
     if ns.baseline:  # its one choice is bicubic
         scorer, label = BicubicBaseline(r), ns.baseline
@@ -444,6 +465,8 @@ def _cmd_bench(ns) -> int:
         h, w = (int(v) for v in ns.input_size.split("x"))
     except ValueError:
         raise ValueError(f"--input-size must look like 32x32, got {ns.input_size!r}") from None
+    if h < 1 or w < 1:
+        raise ValueError(f"--input-size extents must be >= 1, got {ns.input_size!r}")
 
     params = param_breakdown(config)
     flops = flops_breakdown(config, h, w)

@@ -58,6 +58,10 @@ class NetConfig:
             raise ValueError("bands/channels must be >= 1 and num_blocks >= 0")
         if self.scale_factor < 1:
             raise ValueError(f"scale factor must be >= 1, got {self.scale_factor}")
+        if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
+            raise ValueError(f"kernel_sizes={list(self.kernel_sizes)} must be odd and >= 1 for 'same' padding")
+        if any(d < 1 for d in self.dilations):
+            raise ValueError(f"dilations={list(self.dilations)} must be >= 1")
         if self.lkca_groups < 1 or c % self.lkca_groups:
             raise ValueError(f"lkca_groups={self.lkca_groups} must be >= 1 and divide C={c} and 3C={3 * c}")
         if self.ca_reduction < 1 or (3 * c) % self.ca_reduction:

@@ -3,29 +3,19 @@ pixel shuffle and channel attention.
 
 Tensors follow the (N, C, H, W) layout. Convolutions are stride-1
 cross-correlations with "same" zero padding; dilation and channel groups are
-supported, odd kernels only. Each conv kind has one implementation, chosen
-from the call shapes:
+supported, odd kernels only. Every conv's forward is one matmul per
+(sample, group) in :func:`_matmul_conv`: a 1x1 conv on the input itself,
+reshaped, and a larger kernel on im2col buffers. A depthwise conv (groups ==
+in == out channels) with k > 1 swaps in a direct shift-and-accumulate VJP.
 
-- 1x1, dense or grouped: one batched matmul on the input itself, whose
-  backward reshapes instead of scattering;
-- depthwise (groups == in == out channels) with k > 1: the forward is an
-  im2col matmul, and the backward is direct shift-and-accumulate over the
-  taps that overlap the image;
-- every other conv (dense and grouped 3x3, depth multipliers): a matmul on
-  im2col buffers, whose backward rebuilds them from the input.
-
-One buffer rule holds for every conv with k > 1: its VJP keeps only the
-input and the weights, and an im2col buffer is built when it is needed and
-dropped at once, in chunks of at most ``_IM2COL_CHUNK_BYTES``. A dense or
-grouped conv builds the buffers of as many samples at once as fit, the
-whole batch when it can, in its forward, its weight gradient and its input
-gradient alike; one sample whose buffer alone is larger is built whole, so
-that bound does not hold for it. A depthwise forward builds one sample's
-buffer at a time, in chunks of channels. Every (sample, group) and
-(sample, channel) product is its own GEMM whatever the chunk, so no result
-depends on the chunking, under any BLAS kernel. im2col copies each tap's
-overlap with the image and never builds a padded copy; taps that lie wholly
-in the zero padding are skipped.
+One chunk rule holds for every conv. A 1x1 conv is one chunk, the whole
+batch, with no buffer. A conv with k > 1 runs one sample at a time, in runs
+of as many whole groups as fit ``_IM2COL_CHUNK_BYTES`` and at least one, in
+its forward, weight gradient and input gradient alike; its VJP keeps only
+the input and the weights. Every (sample, group) product is its own GEMM
+whatever the chunk, so no result depends on the chunking, under any BLAS
+kernel. im2col copies each tap's overlap with the image, with no padded
+copy; taps that lie wholly in the zero padding are skipped.
 
 Every primitive carries an analytic backward, which the test suite checks
 against central finite differences.
@@ -46,11 +36,10 @@ from .autodiff import Var, as_var, record
 
 _SQRT1_2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-# Largest im2col buffer a conv builds at once, unless one sample's buffer
-# of a dense or grouped conv is larger. It holds every depthwise conv of the
-# probe config (16 x 49 x 16 x 16 float32 = 0.8 MB per sample) in one
-# piece. On a 2-core Xeon, budgets from 1 to 16 MB ran a 64x64 k7 depthwise
-# call equally fast.
+# Largest im2col buffer a conv builds at once, unless one group's buffer of
+# one sample is larger. It holds every depthwise conv of the probe config
+# (16 x 49 x 16 x 16 float32 = 0.8 MB per sample) in one piece. On a 2-core
+# Xeon, budgets from 1 to 16 MB ran a 64x64 k7 depthwise call equally fast.
 _IM2COL_CHUNK_BYTES = 4 << 20
 # Added to the channel variance in layer_norm.
 _LN_EPS = 1e-6
@@ -174,81 +163,80 @@ def _col2im(cols: np.ndarray, x_shape, k: int, dilation: int) -> np.ndarray:
 
 
 def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, need_gx: bool = True):
-    """Dense and grouped convs as one batched matmul per group.
+    """Every conv's forward: one matmul per (sample, group), run in chunks.
 
-    A 1x1 conv multiplies the input itself, reshaped. A larger kernel
-    multiplies im2col buffers built a chunk of samples at a time (see the
-    module docstring), and its VJP keeps the input and rebuilds them.
-    Returns (out, vjp) where ``vjp(g)`` gives (gx, gw), with gx None unless
-    ``need_gx``.
+    A 1x1 conv multiplies the whole batch's input itself, reshaped, as one
+    chunk. A larger kernel multiplies im2col buffers built one sample's run
+    of whole groups at a time (see the module docstring), and its VJP keeps
+    the input and rebuilds them. Returns (out, vjp) where ``vjp(g)`` gives
+    (gx, gw), with gx None unless ``need_gx``.
     """
     n, cin, h, w = xv.shape
-    cout, _, k, _ = wv.shape
+    cout, cin_g, k, _ = wv.shape
     wmat = wv.reshape(groups, cout // groups, -1)
-    # Samples per chunk: as many as fit the budget, and at least one.
-    step = n if k == 1 else max(1, _IM2COL_CHUNK_BYTES // (cin * k * k * h * w * xv.itemsize))
+    if k == 1:
+        chunks = [(slice(0, n), slice(0, groups))]
+    else:
+        # Groups per chunk: as many as fit the budget, and at least one.
+        run = max(1, _IM2COL_CHUNK_BYTES // (cin_g * k * k * h * w * xv.itemsize))
+        chunks = [(slice(s, s + 1), slice(g0, min(g0 + run, groups)))
+                  for s in range(n) for g0 in range(0, groups, run)]
 
-    def columns(s0):
-        xs = xv[s0 : s0 + step]
+    def columns(ss, gs):
+        xs = xv[ss, gs.start * cin_g : gs.stop * cin_g]
         if k == 1:
-            return xs.reshape(len(xs), groups, cin // groups, h * w)
-        return _im2col(xs, k, dilation, groups)
+            return xs.reshape(len(xs), gs.stop - gs.start, cin_g, h * w)
+        return _im2col(xs, k, dilation, gs.stop - gs.start)
 
     out = np.empty((n, cout, h, w), np.result_type(xv, wv))
     out_cols = out.reshape(n, groups, cout // groups, h * w)
-    for s0 in range(0, n, step):
-        np.matmul(wmat, columns(s0), out=out_cols[s0 : s0 + step])
+    for ss, gs in chunks:
+        np.matmul(wmat[gs], columns(ss, gs), out=out_cols[ss, gs])
 
     def vjp(g):
         go = g.reshape(n, groups, cout // groups, h * w)
         # The samples' products are added from zero one at a time: the
         # stacked product's .sum(axis=0), without the stack.
         gw = np.zeros(wmat.shape, np.result_type(go, xv))
-        for s0 in range(0, n, step):
-            for s, cols in enumerate(columns(s0), s0):
-                gw += go[s] @ cols.swapaxes(-1, -2)
+        for ss, gs in chunks:
+            for s, cols in enumerate(columns(ss, gs), ss.start):
+                gw[gs] += go[s, gs] @ cols.swapaxes(-1, -2)
             del cols  # the chunk dies before the next is built
         gw = gw.reshape(wv.shape)
         if not need_gx:
             return None, gw
         wt = wmat.swapaxes(-1, -2)
-        if k == 1:
-            return np.matmul(wt, go).reshape(xv.shape), gw
-        # Each chunk's column gradient is scattered before the next is built.
-        gx = [_col2im(np.matmul(wt, go[s0 : s0 + step]), xv[s0 : s0 + step].shape, k, dilation)
-              for s0 in range(0, n, step)]
-        return (gx[0] if len(gx) == 1 else np.concatenate(gx)), gw
+
+        def input_grad(ss, gs):
+            gcols = np.matmul(wt[gs], go[ss, gs])
+            shape = (len(gcols), (gs.stop - gs.start) * cin_g, h, w)
+            return gcols.reshape(shape) if k == 1 else _col2im(gcols, shape, k, dilation)
+
+        if len(chunks) == 1:
+            return input_grad(*chunks[0]), gw
+        gx = np.empty(xv.shape, np.result_type(wt, go))
+        for ss, gs in chunks:
+            # Each chunk's column gradient is scattered before the next is built.
+            gx[ss, gs.start * cin_g : gs.stop * cin_g] = input_grad(ss, gs)
+        return gx, gw
 
     return out, vjp
 
 
-def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool):
-    """Depthwise conv, one k x k filter per channel.
+def _depthwise_vjp(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool):
+    """VJP of a depthwise conv, one k x k filter per channel, by direct
+    shift-and-accumulate over the taps that overlap the image.
 
-    The forward is the im2col matmul of :func:`_matmul_conv`, run on one
-    sample's chunk of channels at a time so that no im2col buffer exceeds
-    ``_IM2COL_CHUNK_BYTES``; a sample whose whole buffer fits is one chunk.
-    Every (sample, channel) matmul keeps its shape, so the output does not
-    depend on the chunking. It stays a matmul, not shift-and-accumulate,
-    because training amplifies any change in its rounding: Adam's first
-    step follows the sign of each gradient element. The VJP is direct
-    shift-and-accumulate over the taps that overlap the image and keeps
-    only the input and the weights; it accumulates gx channels-last, through
-    one reused product buffer. Returns (out, vjp) where ``vjp(g)`` gives
-    (gx, gw), with gx None unless ``need_gx``.
+    It keeps only the input and the weights, and accumulates gx
+    channels-last through one reused product buffer. The forward stays the
+    im2col matmul of :func:`_matmul_conv`, because training amplifies any
+    change in its rounding: Adam's first step follows the sign of each
+    gradient element. ``vjp(g)`` gives (gx, gw), with gx None unless
+    ``need_gx``.
     """
     n, c, h, w = xv.shape
     k = wv.shape[-1]
     w2 = wv.reshape(c, k, k)
-    step = max(1, _IM2COL_CHUNK_BYTES // (k * k * h * w * xv.itemsize))
-    out = np.empty(xv.shape, dtype=np.result_type(xv, wv))
-    out_rows, wmat = out.reshape(n, c, 1, h * w), wv.reshape(c, 1, k * k)
-    for s in range(n):
-        for c0 in range(0, c, step):
-            xs = xv[s : s + 1, c0 : c0 + step]
-            # (1, chunk, k*k, h*w), unnamed so that it dies before the next
-            np.matmul(wmat[c0 : c0 + step], _im2col(xs, k, dilation, xs.shape[1]),
-                      out=out_rows[s : s + 1, c0 : c0 + step])
     taps = _taps(k, dilation, h, w)
 
     def vjp(g):
@@ -267,13 +255,13 @@ def _depthwise_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool
         del g_last, product
         return np.ascontiguousarray(gx.transpose(0, 3, 1, 2)), gw.reshape(wv.shape)
 
-    return out, vjp
+    return vjp
 
 
 def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, groups: int = 1) -> Var:
     """Stride-1 "same" cross-correlation with dilation and channel groups.
 
-    See the module docstring for which implementation each conv kind takes.
+    See the module docstring for how each conv kind runs.
     """
     need_gx = isinstance(x, Var)  # a plain array is data, with no gradient
     x, weight = as_var(x), as_var(weight)
@@ -283,10 +271,9 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, g
         if bias.shape != (cout,):
             raise ValueError(f"bias shape {bias.shape} != ({cout},)")
 
+    out, conv_vjp = _matmul_conv(x.value, weight.value, dilation, groups, need_gx)
     if groups == cin == cout and k > 1:
-        out, conv_vjp = _depthwise_conv(x.value, weight.value, dilation, need_gx)
-    else:
-        out, conv_vjp = _matmul_conv(x.value, weight.value, dilation, groups, need_gx)
+        conv_vjp = _depthwise_vjp(x.value, weight.value, dilation, need_gx)
     if bias is None:
         return record(out, (x, weight), conv_vjp)
     out += bias.value[:, None, None]  # the product has no other owner

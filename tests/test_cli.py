@@ -258,6 +258,24 @@ class TestLoadSplit:
         assert run(command, "--split", str(split), *flags[command]) == 3
         assert "split.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,field,value", [
+        ("eval", "scale_factor", "2"), ("train", "scale_factor", "2"), ("train", "patch_size", "8"),
+        ("train", "overlap", 4.0), ("train", "cube_shape", [4.0, 32, 32]), ("train", "train_origins", [["0", "0"]]),
+        ("train", "cube_path", 5),
+    ])
+    def test_mistyped_field_is_validation_error(self, workspace, tmp_path, capsys, command, field, value):
+        # A string or float where an integer belongs, or a number for a path,
+        # is a validation error, not a TypeError.
+        split = tmp_path / "split"
+        shutil.copytree(workspace / "split", split)
+        manifest = json.loads((split / "split.json").read_text())
+        (split / "split.json").write_text(json.dumps({**manifest, field: value}))
+        flags = {"eval": ["--baseline", "bicubic"],
+                 "train": ["--out", str(tmp_path / "m.lkca"), "--epochs", "0", *TINY_MODEL_FLAGS]}
+        assert run(command, "--split", str(split), *flags[command]) == 3
+        err = capsys.readouterr().err
+        assert "split.json" in err and field in err
+
     @pytest.mark.parametrize("region", [[0, 0, -16, 32], [0, 0, 16.5, 32], [0, 0, 0, 32]])
     def test_edited_test_region_is_validation_error(self, workspace, tmp_path, capsys, region):
         split = tmp_path / "split"
@@ -774,6 +792,18 @@ class TestBench:
                    "--out", str(out)) == 3
         assert not out.exists()
         assert capsys.readouterr().err.count("upsampler_groups=3") == 2
+
+    @pytest.mark.parametrize("flags,field", [(["--k1", "4"], "kernel_sizes"), (["--k2", "0"], "kernel_sizes"),
+                                             (["--d1", "0"], "dilations")])
+    def test_bad_kernel_or_dilation_exits_three(self, capsys, flags, field):
+        small = ["--bands", "4", "--scale", "2", "--channels", "8", "--lkca-groups", "2", "--ca-reduction", "4"]
+        assert run("bench", *small, *flags) == 3
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0x-5", "0x32", "32x0"])
+    def test_empty_input_size_exits_three(self, capsys, size):
+        assert run("bench", "--bands", "48", "--scale", "4", "--input-size", size) == 3
+        assert "--input-size" in capsys.readouterr().err
 
 
 class TestUsageAndHelp:

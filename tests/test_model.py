@@ -69,6 +69,15 @@ class TestConfig:
                 NetConfig(bands=3, scale_factor=2, feature_channels=8, lkca_groups=2,
                           ca_reduction=4, upsampler_groups=g)
 
+    @pytest.mark.parametrize("field,value", [("kernel_sizes", (4, 7)), ("kernel_sizes", (5, 0)),
+                                             ("kernel_sizes", (-1, 3)), ("dilations", (0, 7)),
+                                             ("dilations", (5, -2))])
+    def test_bad_kernel_sizes_and_dilations_name_the_field(self, field, value):
+        # "Same" padding needs an odd kernel of at least one tap, and a
+        # dilation of at least 1.
+        with pytest.raises(ValueError, match=field):
+            toy_config(**{field: value})
+
     @pytest.mark.parametrize("field", ["lkca_groups", "ca_reduction"])
     @pytest.mark.parametrize("value", [0, -4])
     def test_group_counts_below_one_name_the_field(self, field, value):
@@ -186,13 +195,13 @@ class TestForward:
 
     def test_array_input_builds_no_input_gradient(self, monkeypatch):
         # The head conv of a forward on an array reads it as data, so no
-        # _col2im of the input's shape runs; a Var input still gets its
-        # gradient.
+        # _col2im of a sample of the input's shape runs (a chunk is one
+        # sample); a Var input still gets its gradient.
         scattered = []
         col2im = ops._col2im
 
         def spy(cols, x_shape, k, dilation):
-            scattered.append(tuple(x_shape))
+            scattered.append(tuple(x_shape[1:]))
             return col2im(cols, x_shape, k, dilation)
 
         monkeypatch.setattr(ops, "_col2im", spy)
@@ -201,10 +210,10 @@ class TestForward:
         x = rng.random((2, 4, 6, 6), dtype=np.float32)
         y = rng.random((2, 4, 12, 12), dtype=np.float32)
         backward(h_loss(model.forward(x, training=True)[0], y))
-        assert scattered and x.shape not in scattered
+        assert scattered and x.shape[1:] not in scattered
         v = Var(x)
         backward(h_loss(model.forward(v, training=True)[0], y))
-        assert x.shape in scattered and v.grad is not None
+        assert x.shape[1:] in scattered and v.grad is not None
 
     def test_predict_holds_two_outputs(self):
         # The pre-shuffle map is freed before the skip is built and the sum

@@ -165,38 +165,27 @@ class TestConv2d:
         assert cols[-1] - cols[0] + 1 == extent
 
 
-class TestDepthwiseChunks:
-    def test_chunked_forward_equals_whole_buffer(self):
-        # Enough channels for at least three chunks per sample; at dilation
-        # 7 on a 16x16 map the outer taps lie wholly or partly in the padding.
-        n, k, d, h = 2, 7, 7, 16
-        per_channel = k * k * h * h * np.dtype(np.float32).itemsize
-        step = ops._IM2COL_CHUNK_BYTES // per_channel
-        c = 3 * step + 1
-        assert 1 <= step and -(-c // step) >= 3
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((n, c, h, h)).astype(np.float32)
-        w = rng.standard_normal((c, 1, k, k)).astype(np.float32)
-        whole = whole_buffer_conv(x, w, d, c, np.zeros_like(x))[0]
-        out = ops.conv2d(x, w, dilation=d, groups=c).value
-        assert out.dtype == whole.dtype
-        assert np.array_equal(out, whole)
-
-
 class TestMatmulConvChunks:
-    """Chunked dense and grouped convs against one matmul on the whole
-    batch's im2col buffer, at the real chunk budget."""
+    """Chunked convs against one matmul on the whole batch's im2col buffer,
+    at the real chunk budget."""
 
-    # (x shape, weight shape, dilation, groups). A chunk holds as many
-    # samples as fit, so in float32 the batches of 5 run in chunks of 3 and
-    # 2 (dense) and of 4 and 1 (grouped); one sample of each "big" case has
-    # a buffer larger than the budget, so each of its samples is a chunk.
+    # Channels in one float32 run of a k7 depthwise conv on 16x16 maps.
+    DW_RUN = ops._IM2COL_CHUNK_BYTES // (7 * 7 * 16 * 16 * 4)
+    DW_C = 3 * DW_RUN + 1
+    # (x shape, weight shape, dilation, groups). A chunk is one sample's run
+    # of as many whole groups as fit: one sample each for "dense" and
+    # "grouped8"; in each "big" case one sample's buffer is over the budget,
+    # so "dense-big" and "dilated-big" build it whole and "grouped8-big"
+    # runs 5 groups, then 3; the depthwise case runs at least 3 channel runs
+    # per sample, and at dilation 7 on a 16x16 map its outer taps lie wholly
+    # or partly in the padding.
     CASES = {
         "dense": ((5, 64, 24, 24), (32, 64, 3, 3), 1, 1),
         "grouped8": ((5, 64, 20, 20), (128, 8, 3, 3), 2, 8),
         "dense-big": ((2, 64, 49, 40), (48, 64, 3, 3), 1, 1),
         "grouped8-big": ((2, 64, 52, 52), (256, 8, 3, 3), 1, 8),
         "dilated-big": ((2, 64, 50, 50), (64, 64, 3, 3), 3, 1),
+        "depthwise-k7-d7": ((2, DW_C, 16, 16), (DW_C, 1, 7, 7), 7, DW_C),
     }
 
     @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
@@ -204,6 +193,7 @@ class TestMatmulConvChunks:
     def test_sample_chunks_equal_the_whole_buffer(self, case, dtype):
         # Every (sample, group) product is its own GEMM whatever the chunk,
         # so this holds under every BLAS kernel.
+        assert 1 <= self.DW_RUN and -(-self.DW_C // self.DW_RUN) >= 3
         x_shape, w_shape, d, groups = self.CASES[case]
         # The whole float32 buffer is over the budget, so the conv is chunked.
         assert np.prod(x_shape) * w_shape[-1] ** 2 * 4 > ops._IM2COL_CHUNK_BYTES
@@ -219,11 +209,13 @@ class TestMatmulConvChunks:
 
 class TestIm2colBudget:
     # (x shape, weight shape, dilation, groups): a depthwise k7 conv whose
-    # whole buffer is 116 MB, and a dense 3x3 whose batch's buffer is 11 MB
-    # and one sample's 2.7 MB.
+    # whole buffer is 116 MB; a dense 3x3 whose batch's buffer is 11 MB and
+    # one sample's 2.7 MB; a g=8 3x3 whose one sample's buffer is 21 MB and
+    # one group's 2.7 MB.
     CASES = {
         "depthwise-k7-d3": ((1, 64, 96, 96), (64, 1, 7, 7), 3, 64),
         "dense3x3": ((4, 32, 48, 48), (32, 32, 3, 3), 1, 1),
+        "grouped8-3x3": ((1, 64, 96, 96), (256, 8, 3, 3), 1, 8),
     }
 
     @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
@@ -260,7 +252,7 @@ class TestDepthwiseVjp:
         rng = np.random.default_rng(17)
         x, g = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
         w = rng.standard_normal((shape[1], 1, k, k)).astype(dtype)
-        gx, gw = ops._depthwise_conv(x, w, d, True)[1](g)
+        gx, gw = ops._depthwise_vjp(x, w, d, True)(g)
         want_gx, want_gw = tap_loop_depthwise_vjp(x, w, d, g)
         assert gx.flags.c_contiguous
         for got, want in ((gx, want_gx), (gw, want_gw)):
