@@ -12,9 +12,13 @@ differences), not any particular taping style.
 closure captured, and captures no ``Var``. An interior value therefore
 lives while code holds its ``Var`` or a VJP holds the array: a forward frees
 a temporary by dropping its name, and the tape holds only what backward reads.
+A VJP may keep an input as a function instead of the array: a ``Var``'s
+``rebuild``, when set, rebuilds its value bit for bit from arrays its
+producer's VJP keeps anyway, so a consumer that keeps ``rebuild`` keeps no
+array of its own.
 
 Gradient recording can be suspended with :func:`no_grad`, e.g. for teacher
-forwards and validation passes.
+forwards and validation passes; :func:`grad_enabled` says whether it is on.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ from contextlib import contextmanager
 import numpy as np
 
 _grad_enabled = True
+
+
+def grad_enabled() -> bool:
+    """Whether operations record a graph now (False inside :func:`no_grad`)."""
+    return _grad_enabled
 
 
 @contextmanager
@@ -55,13 +64,17 @@ class Var:
 
     Leaves (parameters, inputs) have no parents. ``grad`` is None until a
     backward pass deposits a gradient of the same shape as ``value``.
+    ``rebuild``, when not None, is a zero-argument function that returns
+    ``value``'s bits anew from arrays the producer's VJP keeps; it captures
+    no ``Var``.
     """
 
-    __slots__ = ("value", "name", "_node")
+    __slots__ = ("value", "name", "rebuild", "_node")
 
     def __init__(self, value, name: str = ""):
         self.value = value if isinstance(value, np.ndarray) else np.asarray(value)
         self.name = name
+        self.rebuild = None
         self._node = _Node()
 
     @property

@@ -235,13 +235,18 @@ def _read_split(split_dir, keys: tuple) -> tuple[Path, dict]:
     """A split directory's split.json: a JSON object that holds ``keys``, each
     typed field of the right type."""
     path = Path(split_dir) / "split.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not (isinstance(manifest, dict) and set(keys) <= manifest.keys()):
         raise ValueError(f"{path}: must be a JSON object holding {', '.join(keys)}")
     bad = [f"{key} (want {'integers' if kind is int else 'text'})" for key, (kind, depth) in _SPLIT_TYPES.items()
            if key in manifest and not _holds(manifest[key], kind, depth)]
     if bad:
         raise ValueError(f"{path}: fields of the wrong type: {', '.join(bad)}")
+    if "cube_shape" in manifest and len(manifest["cube_shape"]) != 3:
+        raise ValueError(f"{path}: cube_shape must hold 3 integers: bands, height, width")
     return path, manifest
 
 
@@ -365,8 +370,10 @@ def _finish_fit(ns, command: str, settings: dict, result, metadata: dict, inputs
 
 def _cmd_train(ns) -> int:
     settings = _resolve(ns, {**MODEL_DEFAULTS, **_TRAIN_DEFAULTS, **_WEIGHT_DEFAULTS})
+    # The config is checked before the split maps its cube and cuts its patches.
+    _, manifest = _read_split(ns.split, ("cube_shape", "scale_factor"))
+    config = _model_config(settings, manifest["cube_shape"][0], manifest["scale_factor"])
     split = load_split(ns.split)
-    config = _model_config(settings, split.manifest["cube_shape"][0], split.manifest["scale_factor"])
     model = LkcaNet(config, seed=settings["seed"])
     weights = _build(LossWeights, settings)
     result = train(model, split, _build(TrainConfig, settings), weights)
@@ -375,7 +382,6 @@ def _cmd_train(ns) -> int:
 
 
 def _cmd_distill(ns) -> int:
-    split = load_split(ns.split)
     teacher, _ = load_checkpoint(ns.teacher)
     tcfg = teacher.config
     # The student inherits the teacher's architecture at half the depth
@@ -389,6 +395,7 @@ def _cmd_distill(ns) -> int:
     config = _model_config(settings, tcfg.bands, tcfg.scale_factor)
     dcfg = _build(DistillConfig, settings, weights=_build(LossWeights, settings),
                   decay=_build(DecaySchedule, settings))
+    split = load_split(ns.split)
     result = distill(teacher, LkcaNet(config, seed=settings["seed"]), split,
                      _build(TrainConfig, settings), dcfg)
     metadata = {

@@ -192,6 +192,14 @@ def _param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+def _move(v: Var, dst: np.ndarray) -> Var:
+    """``v`` with its value copied into ``dst``, which becomes its value. The
+    old array dies unless something else, such as a VJP, still holds it."""
+    np.copyto(dst, v.value, casting="no")
+    v.value = dst
+    return v
+
+
 class LkcaNet:
     """Shallow conv, stacked attention blocks, sub-pixel upsampling head, and
     a bicubic skip connection.
@@ -250,18 +258,25 @@ class LkcaNet:
 
     def lkca_forward(self, f_u: Var, block: int = 0) -> Var:
         """The attention unit: cascaded dilated depthwise convs, concat,
-        channel attention, grouped 1x1 fusion, multiplicative gate."""
+        channel attention, grouped 1x1 fusion, multiplicative gate.
+
+        The (N, 3C, H, W) concat buffer is allocated first, and f_u, a1 and
+        a2 are moved into its channel slices as each is made. The VJPs of
+        dw1, dw2 and the gate then keep views of it, and concat copies
+        nothing. f_u's Var comes back holding its slice."""
         cfg = self.config
         p = self.params
         pre = f"blocks.{block}."
         d1, d2 = cfg.dilations
         c = cfg.feature_channels
-        a1 = ops.conv2d(f_u, p[pre + "dw1.weight"], p[pre + "dw1.bias"], dilation=d1, groups=c)
-        # concat copies the second depthwise output, which then dies: dw2's
-        # VJP reads a1, not its output.
-        a_c = ops.concat_channels(
-            [f_u, a1, ops.conv2d(a1, p[pre + "dw2.weight"], p[pre + "dw2.bias"], dilation=d2, groups=c)]
-        )
+        n, _, h, w = f_u.shape
+        cat = np.empty((n, 3 * c, h, w), f_u.dtype)
+        f_u = _move(f_u, cat[:, :c])
+        a1 = _move(ops.conv2d(f_u, p[pre + "dw1.weight"], p[pre + "dw1.bias"], dilation=d1, groups=c),
+                   cat[:, c : 2 * c])
+        a2 = _move(ops.conv2d(a1, p[pre + "dw2.weight"], p[pre + "dw2.bias"], dilation=d2, groups=c),
+                   cat[:, 2 * c :])
+        a_c = ops.concat_channels([f_u, a1, a2])
         a_ca = ops.channel_attention(
             a_c,
             p[pre + "ca.fc1.weight"],

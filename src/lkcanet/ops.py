@@ -17,6 +17,14 @@ whatever the chunk, so no result depends on the chunking, under any BLAS
 kernel. im2col copies each tap's overlap with the image, with no padded
 copy; taps that lie wholly in the zero padding are skipped.
 
+A conv whose input carries a ``rebuild`` function keeps the function
+instead of the input and calls it once in its VJP. While a graph is
+recorded, ``layer_norm``, ``broadcast_gate`` and ``mul`` attach one that
+repeats the forward's own expression on arrays their VJPs keep, so the
+rebuilt input has the forward's bits. ``gelu`` keeps its derivative alone,
+and ``concat_channels`` records parts that are the consecutive channel
+slices of one array as that array, with no copy.
+
 Every primitive carries an analytic backward, which the test suite checks
 against central finite differences.
 
@@ -32,7 +40,7 @@ import functools
 import numpy as np
 from scipy.special import erf
 
-from .autodiff import Var, as_var, record
+from .autodiff import Var, as_var, grad_enabled, record
 
 _SQRT1_2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -48,6 +56,14 @@ _LN_EPS = 1e-6
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic
 # ---------------------------------------------------------------------------
+
+
+def _rebuildable(out: Var, rebuild) -> Var:
+    """``out`` carrying ``rebuild`` while a graph is recorded; a graph-free
+    value keeps no function, so nothing outlives it."""
+    if grad_enabled():
+        out.rebuild = rebuild
+    return out
 
 
 def add(a: Var, b: Var) -> Var:
@@ -80,7 +96,11 @@ def mul(a: Var, b: Var) -> Var:
     if a.shape != b.shape:
         raise ValueError(f"mul requires equal shapes, got {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
-    return record(av * bv, (a, b), lambda g: (g * bv, g * av))
+
+    def product():
+        return av * bv
+
+    return _rebuildable(record(product(), (a, b), lambda g: (g * bv, g * av)), product)
 
 
 def scale(a: Var, k: float) -> Var:
@@ -162,14 +182,17 @@ def _col2im(cols: np.ndarray, x_shape, k: int, dilation: int) -> np.ndarray:
     return x
 
 
-def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, need_gx: bool = True):
+def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, need_gx: bool = True,
+                 rebuild=None):
     """Every conv's forward: one matmul per (sample, group), run in chunks.
 
     A 1x1 conv multiplies the whole batch's input itself, reshaped, as one
     chunk. A larger kernel multiplies im2col buffers built one sample's run
     of whole groups at a time (see the module docstring), and its VJP keeps
-    the input and rebuilds them. Returns (out, vjp) where ``vjp(g)`` gives
-    (gx, gw), with gx None unless ``need_gx``.
+    the input and rebuilds them. Given ``rebuild``, the input's rebuild
+    function, the VJP keeps that instead of the input and calls it once.
+    Returns (out, vjp) where ``vjp(g)`` gives (gx, gw), with gx None unless
+    ``need_gx``.
     """
     n, cin, h, w = xv.shape
     cout, cin_g, k, _ = wv.shape
@@ -182,8 +205,8 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, nee
         chunks = [(slice(s, s + 1), slice(g0, min(g0 + run, groups)))
                   for s in range(n) for g0 in range(0, groups, run)]
 
-    def columns(ss, gs):
-        xs = xv[ss, gs.start * cin_g : gs.stop * cin_g]
+    def columns(x, ss, gs):
+        xs = x[ss, gs.start * cin_g : gs.stop * cin_g]
         if k == 1:
             return xs.reshape(len(xs), gs.stop - gs.start, cin_g, h * w)
         return _im2col(xs, k, dilation, gs.stop - gs.start)
@@ -191,17 +214,20 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, nee
     out = np.empty((n, cout, h, w), np.result_type(xv, wv))
     out_cols = out.reshape(n, groups, cout // groups, h * w)
     for ss, gs in chunks:
-        np.matmul(wmat[gs], columns(ss, gs), out=out_cols[ss, gs])
+        np.matmul(wmat[gs], columns(xv, ss, gs), out=out_cols[ss, gs])
+    load = rebuild if rebuild is not None else lambda: xv
 
     def vjp(g):
         go = g.reshape(n, groups, cout // groups, h * w)
+        x = load()
         # The samples' products are added from zero one at a time: the
         # stacked product's .sum(axis=0), without the stack.
-        gw = np.zeros(wmat.shape, np.result_type(go, xv))
+        gw = np.zeros(wmat.shape, np.result_type(go, x))
         for ss, gs in chunks:
-            for s, cols in enumerate(columns(ss, gs), ss.start):
+            for s, cols in enumerate(columns(x, ss, gs), ss.start):
                 gw[gs] += go[s, gs] @ cols.swapaxes(-1, -2)
             del cols  # the chunk dies before the next is built
+        del x  # a rebuilt input dies before gx is built
         gw = gw.reshape(wv.shape)
         if not need_gx:
             return None, gw
@@ -214,7 +240,7 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, nee
 
         if len(chunks) == 1:
             return input_grad(*chunks[0]), gw
-        gx = np.empty(xv.shape, np.result_type(wt, go))
+        gx = np.empty((n, cin, h, w), np.result_type(wt, go))
         for ss, gs in chunks:
             # Each chunk's column gradient is scattered before the next is built.
             gx[ss, gs.start * cin_g : gs.stop * cin_g] = input_grad(ss, gs)
@@ -223,11 +249,12 @@ def _matmul_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, groups: int, nee
     return out, vjp
 
 
-def _depthwise_vjp(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool):
+def _depthwise_vjp(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool, rebuild=None):
     """VJP of a depthwise conv, one k x k filter per channel, by direct
     shift-and-accumulate over the taps that overlap the image.
 
-    It keeps only the input and the weights, and accumulates gx
+    It keeps only the input, or ``rebuild`` in its place as
+    :func:`_matmul_conv` does, and the weights, and accumulates gx
     channels-last through one reused product buffer. The forward stays the
     im2col matmul of :func:`_matmul_conv`, because training amplifies any
     change in its rounding: Adam's first step follows the sign of each
@@ -238,11 +265,14 @@ def _depthwise_vjp(xv: np.ndarray, wv: np.ndarray, dilation: int, need_gx: bool)
     k = wv.shape[-1]
     w2 = wv.reshape(c, k, k)
     taps = _taps(k, dilation, h, w)
+    load = rebuild if rebuild is not None else lambda: xv
 
     def vjp(g):
-        gw = np.zeros(w2.shape, dtype=np.result_type(g, xv))
+        x = load()
+        gw = np.zeros(w2.shape, dtype=np.result_type(g, x))
         for i, j, dst, src in taps:
-            gw[:, i, j] = np.einsum("nchw,nchw->c", g[dst], xv[src])
+            gw[:, i, j] = np.einsum("nchw,nchw->c", g[dst], x[src])
+        del x
         if not need_gx:
             return None, gw.reshape(wv.shape)
         g_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
@@ -271,9 +301,9 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, dilation: int = 1, g
         if bias.shape != (cout,):
             raise ValueError(f"bias shape {bias.shape} != ({cout},)")
 
-    out, conv_vjp = _matmul_conv(x.value, weight.value, dilation, groups, need_gx)
+    out, conv_vjp = _matmul_conv(x.value, weight.value, dilation, groups, need_gx, x.rebuild)
     if groups == cin == cout and k > 1:
-        conv_vjp = _depthwise_vjp(x.value, weight.value, dilation, need_gx)
+        conv_vjp = _depthwise_vjp(x.value, weight.value, dilation, need_gx, x.rebuild)
     if bias is None:
         return record(out, (x, weight), conv_vjp)
     out += bias.value[:, None, None]  # the product has no other owner
@@ -300,36 +330,45 @@ def layer_norm(x: Var, gamma: Var, beta: Var) -> Var:
     var = x.value.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (x.value - mu) * inv
-    out = gamma.value[:, None, None] * xhat + beta.value[:, None, None]
+    gv, bv = gamma.value[:, None, None], beta.value[:, None, None]
 
-    gv = gamma.value
+    def affine():
+        return gv * xhat + bv
 
     def vjp(g):
         ggamma = (g * xhat).sum(axis=(0, 2, 3))
         gbeta = g.sum(axis=(0, 2, 3))
-        gh = g * gv[:, None, None]
+        gh = g * gv
         m1 = gh.mean(axis=1, keepdims=True)
         m2 = (gh * xhat).mean(axis=1, keepdims=True)
         gx = inv * (gh - m1 - xhat * m2)
         return gx, ggamma, gbeta
 
-    return record(out, (x, gamma, beta), vjp)
+    return _rebuildable(record(affine(), (x, gamma, beta), vjp), affine)
 
 
 def gelu(x: Var) -> Var:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    """Exact Gaussian-CDF GELU: x * Phi(x).
+
+    While a graph is recorded, the forward builds the derivative
+    Phi(x) + x * pdf(x) in place, and the VJP keeps it alone, neither x nor
+    Phi; a gradient-free forward skips it.
+    """
     x = as_var(x)
     xv = x.value
     phi = 0.5 * (1.0 + erf(xv * _SQRT1_2))
     out = xv * phi
-
-    def vjp(g):
-        # The derivative is built only when a graph runs backward, so
-        # gradient-free forwards skip it.
-        pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT_2PI
-        return (g * (phi + xv * pdf),)
-
-    return record(out, (x,), vjp)
+    if not grad_enabled():
+        return record(out, (x,), None)
+    # phi + x * (exp(-0.5 * x * x) * 1/sqrt(2 pi)), one operation at a time
+    # in one buffer: each step rounds as the expression's own does.
+    deriv = -0.5 * xv
+    deriv *= xv
+    np.exp(deriv, out=deriv)
+    deriv *= _INV_SQRT_2PI
+    deriv *= xv
+    deriv += phi
+    return record(out, (x,), lambda g: (g * deriv,))
 
 
 def relu(x: Var) -> Var:
@@ -419,11 +458,27 @@ def linear(x: Var, weight: Var, bias: Var) -> Var:
     return record(out, (x, weight, bias), vjp)
 
 
+def _channel_run(values: list, bounds) -> np.ndarray | None:
+    """The array that owns ``values``, when they are its channel slices
+    between ``bounds`` (the same memory, shape and strides), or None."""
+    base = values[0].base
+    if not (isinstance(base, np.ndarray) and base.ndim == 4 and base.shape[1] == bounds[-1]):
+        return None
+    for v, lo, hi in zip(values, bounds[:-1], bounds[1:]):
+        if v.__array_interface__ != base[:, lo:hi].__array_interface__:
+            return None
+    return base
+
+
 def concat_channels(parts: list[Var]) -> Var:
+    """Join along channels. Parts that are the consecutive channel slices of
+    one array, in order, are recorded as that array, with no copy."""
     parts = [as_var(p) for p in parts]
-    sizes = [p.shape[1] for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=1)
-    bounds = np.cumsum([0] + sizes)
+    values = [p.value for p in parts]
+    bounds = np.cumsum([0] + [v.shape[1] for v in values])
+    out = _channel_run(values, bounds)
+    if out is None:
+        out = np.concatenate(values, axis=1)
 
     def vjp(g):
         return tuple(g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
@@ -439,10 +494,13 @@ def broadcast_gate(x: Var, gate: Var) -> Var:
     gv = gate.value[:, :, None, None]
     xv = x.value
 
+    def gated():
+        return xv * gv
+
     def vjp(g):
         return g * gv, (g * xv).sum(axis=(2, 3))
 
-    return record(xv * gv, (x, gate), vjp)
+    return _rebuildable(record(gated(), (x, gate), vjp), gated)
 
 
 def channel_attention(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:

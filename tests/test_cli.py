@@ -276,6 +276,40 @@ class TestLoadSplit:
         err = capsys.readouterr().err
         assert "split.json" in err and field in err
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_split_json_that_is_not_json_names_the_file(self, workspace, tmp_path, capsys, command):
+        split = tmp_path / "split"
+        shutil.copytree(workspace / "split", split)
+        (split / "split.json").write_text("{not json")
+        flags = {"eval": ["--baseline", "bicubic"],
+                 "train": ["--out", str(tmp_path / "m.lkca"), "--epochs", "0", *TINY_MODEL_FLAGS]}
+        assert run(command, "--split", str(split), *flags[command]) == 3
+        assert f"{split / 'split.json'}: not valid JSON" in capsys.readouterr().err
+
+    def test_short_cube_shape_is_validation_error(self, workspace, tmp_path, capsys):
+        split = tmp_path / "split"
+        shutil.copytree(workspace / "split", split)
+        manifest = json.loads((split / "split.json").read_text())
+        (split / "split.json").write_text(json.dumps({**manifest, "cube_shape": []}))
+        assert run("train", "--split", str(split), "--out", str(tmp_path / "m.lkca"), "--epochs", "0",
+                   *TINY_MODEL_FLAGS) == 3
+        assert "cube_shape must hold 3 integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "distill"])
+    def test_bad_model_config_exits_before_the_cube_is_read(self, workspace, tmp_path, capsys, command):
+        # The source cube is gone, so a split load would fail on the missing
+        # file; the even kernel is rejected first, from split.json alone.
+        cube = tmp_path / "cube.hsc"
+        shutil.copy(workspace / "cube.hsc", cube)
+        assert run("prepare", "--cube", str(cube), *SPLIT_FLAGS, "--out", str(tmp_path / "split")) == 0
+        cube.unlink()
+        teacher = ["--teacher", str(workspace / "init.lkca")] if command == "distill" else []
+        code = run(command, *teacher, "--split", str(tmp_path / "split"), "--out", str(tmp_path / "m.lkca"),
+                   "--epochs", "0", *TINY_MODEL_FLAGS, "--k1", "4")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "kernel_sizes=[4, 3] must be odd" in err and "cube.hsc" not in err
+
     @pytest.mark.parametrize("region", [[0, 0, -16, 32], [0, 0, 16.5, 32], [0, 0, 0, 32]])
     def test_edited_test_region_is_validation_error(self, workspace, tmp_path, capsys, region):
         split = tmp_path / "split"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grad_check, project_scalar, tap_loop_depthwise_vjp, whole_buffer_conv
+from oracles import buffer_of, grad_check, project_scalar, tap_loop_depthwise_vjp, vjp_buffers, whole_buffer_conv
 
 from lkcanet import ops
 from lkcanet.autodiff import Var, backward, no_grad, record
@@ -257,6 +257,88 @@ class TestDepthwiseVjp:
         assert gx.flags.c_contiguous
         for got, want in ((gx, want_gx), (gw, want_gw)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestRebuiltInput:
+    """A conv whose input carries a rebuild function keeps the function, not
+    the array, and its VJP returns the same bytes as one that kept it."""
+
+    # (x shape, weight shape, dilation, groups): a dense and a grouped 3x3
+    # whose buffers span several chunks, a 1x1 and a grouped 1x1 (the
+    # fusion conv's shape).
+    CASES = {
+        "dense3x3": ((3, 32, 24, 24), (16, 32, 3, 3), 2, 1),
+        "grouped3x3": ((2, 64, 40, 40), (128, 8, 3, 3), 1, 8),
+        "1x1": ((2, 16, 9, 11), (24, 16, 1, 1), 1, 1),
+        "grouped1x1": ((2, 48, 9, 11), (16, 12, 1, 1), 1, 4),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
+    def test_rebuilt_input_vjp_equals_kept_input(self, case):
+        x_shape, w_shape, d, groups = self.CASES[case]
+        rng = np.random.default_rng(29)
+        a, b = (Var(rng.standard_normal(x_shape).astype(np.float32)) for _ in range(2))
+        w, bias = Var(rng.standard_normal(w_shape).astype(np.float32)), Var(np.ones(w_shape[0], np.float32))
+        g = rng.standard_normal((x_shape[0], w_shape[0], *x_shape[2:])).astype(np.float32)
+        x = ops.mul(a, b)  # x's value is rebuilt as a * b
+        rebuilt = ops.conv2d(x, w, bias, dilation=d, groups=groups)
+        kept = ops.conv2d(Var(x.value.copy()), w, bias, dilation=d, groups=groups)
+        assert id(buffer_of(x.value)) not in vjp_buffers([rebuilt._node])
+        assert np.array_equal(rebuilt.value, kept.value)
+        for have, want in zip(rebuilt._vjp(g), kept._vjp(g)):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", list(TestDepthwiseVjp.CASES), ids=list(TestDepthwiseVjp.CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("run", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_depthwise_vjp_of_a_channel_slice_equals_its_copy(self, case, dtype, run):
+        # dw1 and dw2 read channel slices of the (N, 3C, H, W) concat buffer.
+        shape, k, d = TestDepthwiseVjp.CASES[case]
+        n, c, h, w = shape
+        rng = np.random.default_rng(31)
+        buf = rng.standard_normal((n, 3 * c, h, w)).astype(dtype)
+        view = buf[:, run * c : (run + 1) * c]
+        g = rng.standard_normal(shape).astype(dtype)
+        wt = rng.standard_normal((c, 1, k, k)).astype(dtype)
+        for vjp_of in (lambda x: ops._depthwise_vjp(x, wt, d, True),
+                       lambda x: ops._matmul_conv(x, wt, d, c)[1]):
+            for have, want in zip(vjp_of(view)(g), vjp_of(view.copy())(g)):
+                assert have.tobytes() == want.tobytes()
+        assert ops._matmul_conv(view, wt, d, c)[0].tobytes() == ops._matmul_conv(view.copy(), wt, d, c)[0].tobytes()
+
+    def test_rebuilds_reproduce_the_value_while_recording(self):
+        rng = np.random.default_rng(37)
+        x = Var(rng.standard_normal((2, 6, 5, 4)).astype(np.float32))
+        gamma, beta = (Var(rng.standard_normal(6).astype(np.float32)) for _ in range(2))
+        gate = Var(rng.random((2, 6)).astype(np.float32))
+
+        def outputs():
+            return [ops.layer_norm(x, gamma, beta), ops.broadcast_gate(x, gate), ops.mul(x, x)]
+
+        for out in outputs():
+            assert out.rebuild().tobytes() == out.value.tobytes()
+        with no_grad():
+            assert all(out.rebuild is None for out in outputs())
+
+
+class TestConcatChannels:
+    def test_consecutive_slices_of_one_buffer_are_not_copied(self):
+        buf = np.arange(2 * 7 * 3 * 2, dtype=np.float32).reshape(2, 7, 3, 2).copy()  # owns its memory
+        parts = [Var(buf[:, :2]), Var(buf[:, 2:3]), Var(buf[:, 3:])]
+        assert ops.concat_channels(parts).value is buf
+
+    @pytest.mark.parametrize("parts", [
+        lambda buf: [buf[:, 3:], buf[:, :3]],  # out of order
+        lambda buf: [buf[:, :2], buf[:, 3:]],  # a gap
+        lambda buf: [buf[:1, :3], buf[:1, 3:]],  # not the whole batch
+        lambda buf: [buf[:, :3], buf[:, 3:].copy()],
+    ], ids=["reordered", "gap", "batch-slice", "copy"])
+    def test_other_parts_are_copied(self, parts):
+        buf = np.arange(2 * 7 * 3 * 2, dtype=np.float32).reshape(2, 7, 3, 2).copy()
+        values = parts(buf)
+        out = ops.concat_channels([Var(v) for v in values]).value
+        assert not np.shares_memory(out, buf)
+        assert np.array_equal(out, np.concatenate(values, axis=1))
 
 
 class TestDataInput:

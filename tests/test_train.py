@@ -261,6 +261,36 @@ class TestTrainingTape:
         self._one_step(monkeypatch, student, teacher, kd_target=kd_target, before_backward=check)
         assert reached == []
 
+    @pytest.mark.parametrize("distilling", [False, True], ids=["train", "distill"])
+    def test_blocks_keep_six_feature_maps(self, monkeypatch, distilling):
+        # A block's VJPs keep LayerNorm's normalized input, GELU's
+        # derivative, the (N, 3C, H, W) concat buffer that holds f_u, a1 and
+        # a2, and the fusion conv's output: 6 feature maps, plus a few
+        # per-channel arrays. The convs after LayerNorm, the gate and mul
+        # keep rebuild functions instead of their inputs. Copies of f_u and
+        # a1 beside the buffer, GELU's input and Phi, and the three conv
+        # inputs made it 14.06.
+        features, seen = LkcaNet.features, {}
+        student = LkcaNet(tiny_config(feature_channels=32, num_blocks=3, drop_path_rate=0.1), seed=0)
+        teacher = LkcaNet(tiny_config(feature_channels=32, num_blocks=4), seed=1) if distilling else None
+
+        def spy_features(net, x, training=False, rng=None):
+            f = features(net, x, training=training, rng=rng)
+            if training:
+                seen["leaves"] = {id(buffer_of(v)) for v in [x, *(p.value for p in net.params.values())]}
+                seen["features"] = f
+            return f
+
+        def tape(root):
+            f = seen.pop("features")
+            kept = vjp_buffers(graph_nodes(f))
+            held = sum(nb for key, nb in kept.items() if key not in seen["leaves"])
+            seen["maps"] = held / (f.value.nbytes * student.config.num_blocks)
+
+        monkeypatch.setattr(LkcaNet, "features", spy_features)
+        self._one_step(monkeypatch, student, teacher, before_backward=tape)
+        assert seen["maps"] <= 6.1, f"a block keeps {seen['maps']:.2f} feature maps"
+
     def test_step_peak_above_the_tape(self, monkeypatch):
         # Above what the VJPs keep, a step peaks in the loss's forward and
         # backward with a few arrays of the reconstruction's size: 3.2
